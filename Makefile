@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-sarif ci bench bench-json microbench trace-smoke \
+.PHONY: all build cross-build test race vet lint lint-sarif ci bench bench-json microbench trace-smoke \
 	shard-smoke openloop-smoke speedup-smoke impairments-smoke bench-baseline \
 	bench-regression benchdiff sched-baseline sched-gate
 
@@ -8,6 +8,13 @@ all: build test
 
 build:
 	$(GO) build ./...
+
+# The PM media maps anonymous memory only on linux without -race
+# (internal/pmem/media_mmap.go); every other target takes the heap fallback.
+# Building two such targets keeps the fallback compiling.
+cross-build:
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
+	GOOS=js GOARCH=wasm $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -29,7 +36,7 @@ lint-sarif:
 	$(GO) run ./cmd/pmnetlint -format sarif ./... > lint.sarif
 
 # Everything CI runs, in the same order.
-ci: build test race vet lint trace-smoke shard-smoke openloop-smoke speedup-smoke \
+ci: build cross-build test race vet lint trace-smoke shard-smoke openloop-smoke speedup-smoke \
 	impairments-smoke sched-gate
 
 # Trace determinism smoke: the pinned scenario's chrome://tracing bytes must
@@ -49,7 +56,7 @@ trace-smoke:
 # matching alloc_test.go files). Override BENCHTIME=1x for a CI smoke run.
 BENCHTIME ?= 1s
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule|BenchmarkCancel|BenchmarkTransmit|BenchmarkPersistAll|BenchmarkEpochOverhead|BenchmarkBarrier' \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule|BenchmarkCancel|BenchmarkTransmit|BenchmarkPersistAll|BenchmarkNewDevice|BenchmarkWritePersistPowerFail|BenchmarkEpochOverhead|BenchmarkBarrier' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/sim ./internal/netsim ./internal/pmem ./internal/sim/pdes
 
 # Full experiment suite, cells on a GOMAXPROCS-sized worker pool.

@@ -239,3 +239,24 @@ func TestKVHandlerScan(t *testing.T) {
 		t.Fatal("hashmap scan accepted")
 	}
 }
+
+// TestKVHandlerLargeScanSurvivesCodec sends a limit-200 scan through the
+// handler and the wire codec. Its 400-argument response used to wrap the
+// one-byte argument count and arrive as an empty success.
+func TestKVHandlerLargeScanSurvivesCodec(t *testing.T) {
+	h := newKVHandler(t, "btree")
+	for i := 0; i < 250; i++ {
+		h.Handle(protocol.PutReq([]byte(fmt.Sprintf("key%03d", i)), []byte(fmt.Sprintf("v%d", i))))
+	}
+	resp, _ := h.Handle(protocol.ScanReq([]byte("key010"), 200))
+	got, err := protocol.DecodeResponse(resp.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Status != protocol.StatusOK || len(got.Args) != 400 {
+		t.Fatalf("scan decoded as status %v with %d args, want OK with 400", got.Status, len(got.Args))
+	}
+	if string(got.Args[0]) != "key010" || string(got.Args[398]) != "key209" || string(got.Args[399]) != "v209" {
+		t.Fatalf("scan spans %q..%q=%q", got.Args[0], got.Args[398], got.Args[399])
+	}
+}

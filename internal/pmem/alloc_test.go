@@ -50,3 +50,46 @@ func BenchmarkPersistAll(b *testing.B) {
 		d.PersistAll()
 	}
 }
+
+// BenchmarkNewDevice measures building a 128 MiB device, the size of a KV
+// arena. The media materializes on first touch, so construction costs the
+// dirty bitset and slot index, not the capacity.
+func BenchmarkNewDevice(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d := NewDevice(DefaultConfig(128 << 20))
+		if d.Len() != 128<<20 {
+			b.Fatal("wrong capacity")
+		}
+	}
+}
+
+// BenchmarkWritePersistPowerFail drives the persist-heavy path a pmobj commit
+// takes: line-sized writes each followed by its barrier, a few writes left
+// dirty, then a power failure that must restore only those lines.
+func BenchmarkWritePersistPowerFail(b *testing.B) {
+	const capacity = 1 << 20
+	d := NewDevice(DefaultConfig(capacity))
+	buf := make([]byte, 64)
+	round := func(i int) {
+		for j := 0; j < 12; j++ {
+			off := ((i*12 + j) * 4160) % (capacity - len(buf))
+			if err := d.WriteAt(buf, off); err != nil {
+				b.Fatal(err)
+			}
+			if j%4 == 3 {
+				continue // left dirty for the power failure
+			}
+			if err := d.Persist(off, len(buf)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		d.PowerFail()
+	}
+	round(0) // grows the pre-image slab to its steady-state size
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(i)
+	}
+}

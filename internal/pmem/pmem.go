@@ -54,21 +54,31 @@ type Stats struct {
 	PowerFailures uint64
 }
 
-// Device is a simulated PM DIMM. It maintains two images: the volatile view
-// (what a running program reads back) and the persistent view (what survives
-// power failure). WriteAt updates the volatile view and marks lines dirty;
-// Persist copies dirty lines into the persistent image; PowerFail rolls the
-// volatile view back to the persistent image.
+// Device is a simulated PM DIMM. It keeps one image of the media, the
+// volatile view a running program reads back, plus a pre-image of every line
+// dirtied since its last persist: that line's durable content, saved when a
+// clean line is first written. The persistent view is therefore the image
+// with every dirty line replaced by its pre-image. WriteAt saves pre-images
+// and marks lines dirty; Persist only clears dirty bits; PowerFail writes the
+// pre-images back, so it costs the dirty lines, not the capacity.
 //
 // Device is not safe for concurrent use; in this codebase every device is
 // owned by a single simulated component on the single-threaded virtual clock.
 type Device struct {
 	cfg        Config
-	volatile   []byte
-	durable    []byte
+	mem        *media
 	dirty      []uint64 // bitset, one bit per line
 	dirtyLines int      // population count of dirty, kept incrementally
-	stats      Stats
+
+	// Pre-images in the order their lines were dirtied: pre holds LineSize
+	// bytes per slot, and preLine[i] is the line slot i belongs to. A slot
+	// goes stale when its line is persisted; if the line is dirtied again it
+	// gets a newer slot. PowerFail restores slots oldest first, skipping
+	// clean lines, so a dirty line ends at its newest slot's content.
+	pre     []byte
+	preLine []int
+
+	stats Stats
 }
 
 // NewDevice creates a zeroed device. It panics on a non-positive capacity or
@@ -82,10 +92,9 @@ func NewDevice(cfg Config) *Device {
 	}
 	lines := (cfg.Capacity + cfg.LineSize - 1) / cfg.LineSize
 	return &Device{
-		cfg:      cfg,
-		volatile: make([]byte, cfg.Capacity),
-		durable:  make([]byte, cfg.Capacity),
-		dirty:    make([]uint64, (lines+63)/64),
+		cfg:   cfg,
+		mem:   newMedia(cfg.Capacity),
+		dirty: make([]uint64, (lines+63)/64),
 	}
 }
 
@@ -93,16 +102,60 @@ func NewDevice(cfg Config) *Device {
 func (d *Device) Config() Config { return d.cfg }
 
 // Len returns the device capacity in bytes.
-func (d *Device) Len() int { return len(d.volatile) }
+func (d *Device) Len() int { return d.cfg.Capacity }
 
 // Stats returns a copy of the activity counters.
 func (d *Device) Stats() Stats { return d.stats }
 
 func (d *Device) check(off, n int) error {
-	if off < 0 || n < 0 || off+n > len(d.volatile) {
-		return fmt.Errorf("%w: [%d, %d) of %d", ErrOutOfRange, off, off+n, len(d.volatile))
+	if off < 0 || n < 0 || off+n > d.cfg.Capacity {
+		return fmt.Errorf("%w: [%d, %d) of %d", ErrOutOfRange, off, off+n, d.cfg.Capacity)
 	}
 	return nil
+}
+
+func (d *Device) isDirty(line int) bool { return d.dirty[line>>6]&(1<<(line&63)) != 0 }
+
+// slotBytes returns pre-image slot i. When capacity is not a multiple of
+// LineSize the last line is short; copies to and from the image clip it.
+func (d *Device) slotBytes(i int) []byte {
+	return d.pre[i*d.cfg.LineSize : (i+1)*d.cfg.LineSize]
+}
+
+// savePreImage appends a slot holding clean line's current, durable content.
+// Once stale slots outnumber the dirty lines by 64 it compacts first, so the
+// slab stays within twice the dirty footprint.
+func (d *Device) savePreImage(line int) {
+	if len(d.preLine) >= 2*d.dirtyLines+64 {
+		d.compact()
+	}
+	d.preLine = append(d.preLine, line)
+	d.pre = append(d.pre, make([]byte, d.cfg.LineSize)...)
+	d.mem.read(d.slotBytes(len(d.preLine)-1), line*d.cfg.LineSize)
+}
+
+// compact keeps only the newest slot of each dirty line. Walking from the
+// newest slot down, it clears each kept line's dirty bit to mark it seen and
+// packs the kept slots at the top; then it moves them to the bottom and sets
+// their bits again.
+func (d *Device) compact() {
+	n := len(d.preLine)
+	k := n
+	for i := n - 1; i >= 0; i-- {
+		line := d.preLine[i]
+		if !d.isDirty(line) {
+			continue
+		}
+		d.dirty[line>>6] &^= 1 << (line & 63)
+		k--
+		d.preLine[k] = line
+		copy(d.slotBytes(k), d.slotBytes(i))
+	}
+	d.preLine = d.preLine[:copy(d.preLine, d.preLine[k:])]
+	d.pre = d.pre[:copy(d.pre, d.pre[k*d.cfg.LineSize:])]
+	for _, line := range d.preLine {
+		d.dirty[line>>6] |= 1 << (line & 63)
+	}
 }
 
 // WriteAt stores p into the volatile view at off and marks the touched lines
@@ -111,15 +164,33 @@ func (d *Device) WriteAt(p []byte, off int) error {
 	if err := d.check(off, len(p)); err != nil {
 		return err
 	}
-	copy(d.volatile[off:], p)
 	for line := off / d.cfg.LineSize; line <= (off+len(p)-1)/d.cfg.LineSize && len(p) > 0; line++ {
-		if bit := uint64(1) << (uint(line) & 63); d.dirty[line>>6]&bit == 0 {
-			d.dirty[line>>6] |= bit
+		if !d.isDirty(line) {
+			d.savePreImage(line)
+			d.dirty[line>>6] |= 1 << (line & 63)
 			d.dirtyLines++
 		}
 	}
+	d.mem.write(p, off)
 	d.stats.Writes++
 	d.stats.BytesWritten += uint64(len(p))
+	return nil
+}
+
+// writeDurable is WriteAt followed by Persist over the same range, fused:
+// the lines it touches are durable as soon as it returns, so a line that was
+// clean needs no pre-image. The DMA queue retires its writes through it.
+func (d *Device) writeDurable(p []byte, off int) error {
+	if err := d.check(off, len(p)); err != nil {
+		return err
+	}
+	d.mem.write(p, off)
+	d.stats.Writes++
+	d.stats.BytesWritten += uint64(len(p))
+	if len(p) > 0 {
+		d.clean(off/d.cfg.LineSize, (off+len(p)-1)/d.cfg.LineSize)
+		d.stats.Persists++
+	}
 	return nil
 }
 
@@ -128,16 +199,16 @@ func (d *Device) ReadAt(p []byte, off int) error {
 	if err := d.check(off, len(p)); err != nil {
 		return err
 	}
-	copy(p, d.volatile[off:])
+	d.mem.read(p, off)
 	d.stats.Reads++
 	d.stats.BytesRead += uint64(len(p))
 	return nil
 }
 
-// Persist makes the range [off, off+n) durable, copying any dirty lines it
-// covers into the persistent image. This models clwb/sfence (or the DMA
-// engine's write completion) at line granularity: persisting any byte of a
-// line persists the whole line, as on real hardware.
+// Persist makes the range [off, off+n) durable by clearing the dirty bits of
+// the lines it covers; their pre-images go stale. This models clwb/sfence (or
+// the DMA engine's write completion) at line granularity: persisting any byte
+// of a line persists the whole line, as on real hardware.
 func (d *Device) Persist(off, n int) error {
 	if err := d.check(off, n); err != nil {
 		return err
@@ -145,25 +216,23 @@ func (d *Device) Persist(off, n int) error {
 	if n == 0 {
 		return nil
 	}
-	first := off / d.cfg.LineSize
-	last := (off + n - 1) / d.cfg.LineSize
+	d.clean(off/d.cfg.LineSize, (off+n-1)/d.cfg.LineSize)
+	d.stats.Persists++
+	return nil
+}
+
+// clean marks the lines [first, last] durable. When no dirty line is left,
+// every pre-image is stale and the slab empties.
+func (d *Device) clean(first, last int) {
 	for w := first >> 6; w <= last>>6; w++ {
 		word := d.dirty[w] & d.rangeMask(w, first, last)
 		d.dirty[w] &^= word
 		d.dirtyLines -= bits.OnesCount64(word)
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			lo := (w<<6 + b) * d.cfg.LineSize
-			hi := lo + d.cfg.LineSize
-			if hi > len(d.volatile) {
-				hi = len(d.volatile)
-			}
-			copy(d.durable[lo:hi], d.volatile[lo:hi])
-		}
 	}
-	d.stats.Persists++
-	return nil
+	if d.dirtyLines == 0 {
+		d.pre = d.pre[:0]
+		d.preLine = d.preLine[:0]
+	}
 }
 
 // rangeMask returns the bits of dirty word w that fall inside the line range
@@ -185,7 +254,7 @@ func (d *Device) rangeMask(w, first, last int) uint64 {
 // on a corrupted Device, so rather than silently dropping the barrier — the
 // exact bug class persistcover exists to catch — a failure panics.
 func (d *Device) PersistAll() {
-	if err := d.Persist(0, len(d.volatile)); err != nil {
+	if err := d.Persist(0, d.cfg.Capacity); err != nil {
 		panic("pmem: persist all: " + err.Error())
 	}
 }
@@ -211,15 +280,24 @@ func (d *Device) Persisted(off, n int) bool {
 // path without an O(capacity/line) bitset scan.
 func (d *Device) DirtyLines() int { return d.dirtyLines }
 
-// PowerFail simulates an abrupt power loss: the volatile view reverts to the
-// persistent image and all dirty flags clear. The device remains usable
+// PowerFail simulates an abrupt power loss: every dirty line reverts to its
+// pre-image and all dirty flags clear. Every dirty line has a slot, so the
+// slab alone names the lines to restore. The device remains usable
 // afterwards (intermittent-failure model, §IV-E1).
 func (d *Device) PowerFail() {
-	copy(d.volatile, d.durable)
-	for i := range d.dirty {
-		d.dirty[i] = 0
+	for i, line := range d.preLine {
+		if d.isDirty(line) {
+			d.mem.write(d.slotBytes(i), line*d.cfg.LineSize)
+		}
+	}
+	// Bits clear only after the restore pass: a line's newer slot must still
+	// find the line dirty.
+	for _, line := range d.preLine {
+		d.dirty[line>>6] &^= 1 << (line & 63)
 	}
 	d.dirtyLines = 0
+	d.pre = d.pre[:0]
+	d.preLine = d.preLine[:0]
 	d.stats.PowerFailures++
 }
 

@@ -416,3 +416,236 @@ func TestDirtyLinesIncrementalMatchesBitset(t *testing.T) {
 	d.PowerFail()
 	check("power failure")
 }
+
+// refDevice is the dense two-image device the single-image Device replaced:
+// a volatile image, a durable image, and a dirty flag per line. It is the
+// reference the differential test checks Device against.
+type refDevice struct {
+	line              int
+	volatile, durable []byte
+	dirty             []bool
+	stats             Stats
+}
+
+func newRefDevice(capacity, line int) *refDevice {
+	return &refDevice{
+		line:     line,
+		volatile: make([]byte, capacity),
+		durable:  make([]byte, capacity),
+		dirty:    make([]bool, (capacity+line-1)/line),
+	}
+}
+
+func (r *refDevice) write(p []byte, off int) {
+	copy(r.volatile[off:], p)
+	for l := off / r.line; len(p) > 0 && l <= (off+len(p)-1)/r.line; l++ {
+		r.dirty[l] = true
+	}
+	r.stats.Writes++
+	r.stats.BytesWritten += uint64(len(p))
+}
+
+func (r *refDevice) persist(off, n int) {
+	if n == 0 {
+		return
+	}
+	for l := off / r.line; l <= (off+n-1)/r.line; l++ {
+		if r.dirty[l] {
+			lo, hi := l*r.line, min((l+1)*r.line, len(r.volatile))
+			copy(r.durable[lo:hi], r.volatile[lo:hi])
+			r.dirty[l] = false
+		}
+	}
+	r.stats.Persists++
+}
+
+func (r *refDevice) powerFail() {
+	copy(r.volatile, r.durable)
+	clear(r.dirty)
+	r.stats.PowerFailures++
+}
+
+// TestDeviceMatchesDenseReference runs seeded random sequences of writes,
+// reads, persists, the queue's fused write and power failures against both
+// Device and the dense reference, and compares them byte for byte. Offsets
+// straddle lines on purpose, and one capacity leaves a short last line.
+func TestDeviceMatchesDenseReference(t *testing.T) {
+	shapes := []struct{ capacity, line int }{
+		{64*256 + 64*256/2, 256}, // two dirty words, the second half full
+		{5000, 64},               // capacity not a multiple of LineSize
+		{777, 100},               // short last line, fewer lines than a word
+	}
+	for _, sh := range shapes {
+		for seed := uint64(1); seed <= 20; seed++ {
+			diffRun(t, sh.capacity, sh.line, seed)
+		}
+	}
+}
+
+func diffRun(t *testing.T, capacity, line int, seed uint64) {
+	t.Helper()
+	rng := sim.NewRand(seed)
+	d := NewDevice(Config{Capacity: capacity, LineSize: line, BandwidthBps: 1e9})
+	ref := newRefDevice(capacity, line)
+	// span picks a range biased towards line boundaries and the device end.
+	span := func() (off, n int) {
+		switch rng.Intn(4) {
+		case 0: // straddle a line boundary
+			b := rng.Intn(capacity/line+1) * line
+			off = max(0, b-1-rng.Intn(line))
+		case 1: // run into the device end
+			off = capacity - 1 - rng.Intn(min(capacity, 3*line))
+		default:
+			off = rng.Intn(capacity)
+		}
+		n = rng.Intn(min(capacity-off, 3*line) + 1)
+		return off, n
+	}
+	buf := make([]byte, 3*line)
+	got := make([]byte, capacity)
+	peakDirty := 0
+	for step := 0; step < 400; step++ {
+		switch k := rng.Intn(20); {
+		case k < 8:
+			off, n := span()
+			for i := range buf[:n] {
+				buf[i] = byte(rng.Uint64())
+			}
+			if err := d.WriteAt(buf[:n], off); err != nil {
+				t.Fatal(err)
+			}
+			ref.write(buf[:n], off)
+		case k < 11:
+			off, n := span()
+			for i := range buf[:n] {
+				buf[i] = byte(rng.Uint64())
+			}
+			if err := d.writeDurable(buf[:n], off); err != nil {
+				t.Fatal(err)
+			}
+			ref.write(buf[:n], off)
+			ref.persist(off, n)
+		case k < 15:
+			off, n := span()
+			if err := d.Persist(off, n); err != nil {
+				t.Fatal(err)
+			}
+			ref.persist(off, n)
+		case k < 16:
+			d.PersistAll()
+			ref.persist(0, capacity)
+		case k < 17:
+			d.PowerFail()
+			ref.powerFail()
+		default:
+			off, n := span()
+			if err := d.ReadAt(got[:n], off); err != nil {
+				t.Fatal(err)
+			}
+			ref.stats.Reads++
+			ref.stats.BytesRead += uint64(n)
+			if !bytes.Equal(got[:n], ref.volatile[off:off+n]) {
+				t.Fatalf("cap %d line %d seed %d step %d: ReadAt(%d, %d) diverged", capacity, line, seed, step, off, n)
+			}
+		}
+		dirty := 0
+		for l, dl := range ref.dirty {
+			if dl {
+				dirty++
+			}
+			lo := l * line
+			if d.Persisted(lo, min(line, capacity-lo)) == dl {
+				t.Fatalf("cap %d line %d seed %d step %d: line %d persisted=%v, reference dirty=%v",
+					capacity, line, seed, step, l, !dl, dl)
+			}
+		}
+		if d.DirtyLines() != dirty {
+			t.Fatalf("cap %d line %d seed %d step %d: DirtyLines=%d, reference %d", capacity, line, seed, step, d.DirtyLines(), dirty)
+		}
+		peakDirty = max(peakDirty, dirty)
+		if held := len(d.preLine); held > 2*peakDirty+64 || len(d.pre) != held*line {
+			t.Fatalf("cap %d line %d seed %d step %d: %d pre-image slots (%d bytes) for a peak of %d dirty lines",
+				capacity, line, seed, step, held, len(d.pre), peakDirty)
+		}
+	}
+	// The volatile view, then (after a power failure) the durable one.
+	d.mem.read(got, 0)
+	if !bytes.Equal(got, ref.volatile) {
+		t.Fatalf("cap %d line %d seed %d: volatile image diverged", capacity, line, seed)
+	}
+	d.PowerFail()
+	ref.powerFail()
+	d.mem.read(got, 0)
+	if !bytes.Equal(got, ref.durable) {
+		t.Fatalf("cap %d line %d seed %d: durable image diverged", capacity, line, seed)
+	}
+	if d.Stats() != ref.stats {
+		t.Fatalf("cap %d line %d seed %d: stats %+v, reference %+v", capacity, line, seed, d.Stats(), ref.stats)
+	}
+}
+
+// TestPreImageCompaction keeps one line dirty throughout, so the slab never
+// empties, while other lines are written, persisted and dirtied again. The
+// stale slots this leaves behind must be compacted away without losing the
+// newest pre-image of any line that is still dirty.
+func TestPreImageCompaction(t *testing.T) {
+	const line, lines = 64, 300
+	d := NewDevice(Config{Capacity: line * lines, LineSize: line, BandwidthBps: 1e9})
+	ref := newRefDevice(line*lines, line)
+	rng := sim.NewRand(3)
+	buf := make([]byte, line)
+	write := func(l int) {
+		for i := range buf {
+			buf[i] = byte(rng.Uint64())
+		}
+		if err := d.WriteAt(buf, l*line); err != nil {
+			t.Fatal(err)
+		}
+		ref.write(buf, l*line)
+	}
+	persist := func(l int) {
+		if err := d.Persist(l*line, line); err != nil {
+			t.Fatal(err)
+		}
+		ref.persist(l*line, line)
+	}
+	write(0)
+	peakDirty, compactions := 0, 0
+	for step := 0; step < 5000; step++ {
+		l := 1 + rng.Intn(lines-1)
+		write(l)
+		if rng.Intn(8) != 0 {
+			persist(l)
+		}
+		if rng.Intn(16) == 0 {
+			persist(1 + rng.Intn(lines-1))
+		}
+		if len(d.preLine) >= 2*d.DirtyLines()+64 {
+			compactions++
+		}
+		peakDirty = max(peakDirty, d.DirtyLines())
+		if len(d.preLine) > 2*peakDirty+64 {
+			t.Fatalf("step %d: %d slots for a peak of %d dirty lines", step, len(d.preLine), peakDirty)
+		}
+		if step%500 == 499 {
+			d.compact()
+			if len(d.preLine) != d.DirtyLines() {
+				t.Fatalf("step %d: compact left %d slots for %d dirty lines", step, len(d.preLine), d.DirtyLines())
+			}
+		}
+	}
+	if compactions == 0 {
+		t.Fatal("the sequence never reached the compaction threshold")
+	}
+	got := make([]byte, line*lines)
+	d.mem.read(got, 0)
+	if !bytes.Equal(got, ref.volatile) {
+		t.Fatal("volatile image diverged")
+	}
+	d.PowerFail()
+	ref.powerFail()
+	d.mem.read(got, 0)
+	if !bytes.Equal(got, ref.durable) {
+		t.Fatal("durable image diverged after compactions")
+	}
+}

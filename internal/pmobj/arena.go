@@ -67,7 +67,8 @@ type Arena struct {
 	dev       *pmem.Device
 	redoBytes int
 	dataBase  int
-	tx        *Tx // active transaction, if any
+	tx        *Tx     // active transaction, if any
+	cur       txState // the active transaction's state, recycled by Begin
 
 	// CrashHook, when set, is invoked between commit stages (1: redo
 	// written, 2: flag set, 3: partially applied). Returning true abandons
@@ -192,11 +193,6 @@ const (
 
 func (a *Arena) redoBase() uint64 { return uint64(headerSize) }
 
-type writeOp struct {
-	off  uint64
-	data []byte
-}
-
 // recover replays a committed redo log left by a crash mid-commit.
 func (a *Arena) recover() error {
 	base := a.redoBase()
@@ -227,7 +223,7 @@ func (a *Arena) recover() error {
 // restores the last committed state.
 func (a *Arena) Reopen() error {
 	if a.tx != nil {
-		a.tx = nil
+		a.tx.end()
 	}
 	return a.recover()
 }

@@ -105,6 +105,7 @@ var (
 	ErrShortBuffer = errors.New("protocol: buffer too short for PMNet header")
 	ErrBadType     = errors.New("protocol: invalid packet type")
 	ErrBadHash     = errors.New("protocol: header hash mismatch")
+	ErrBadField    = errors.New("protocol: malformed header field")
 )
 
 // encodeInto writes the header with the given hash value.
@@ -162,8 +163,9 @@ func (h *Header) Encode(dst []byte) []byte {
 }
 
 // DecodeHeader parses a PMNet header from the front of b. It verifies the
-// type field and the header CRC, returning the header and the remaining
-// payload bytes.
+// type field, the fields the CRC does not pin down (the reserved byte must be
+// zero; a fragment index must fall inside a nonzero fragment total) and the
+// header CRC, returning the header and the remaining payload bytes.
 func DecodeHeader(b []byte) (Header, []byte, error) {
 	if len(b) < HeaderSize {
 		return Header{}, nil, ErrShortBuffer
@@ -178,6 +180,12 @@ func DecodeHeader(b []byte) (Header, []byte, error) {
 	}
 	if !h.Type.Valid() {
 		return Header{}, nil, fmt.Errorf("%w: %d", ErrBadType, b[0])
+	}
+	if b[1] != 0 {
+		return Header{}, nil, fmt.Errorf("%w: reserved byte %#x", ErrBadField, b[1])
+	}
+	if h.FragIdx >= h.FragTotal {
+		return Header{}, nil, fmt.Errorf("%w: fragment %d of %d", ErrBadField, h.FragIdx, h.FragTotal)
 	}
 	if h.ComputeHash() != h.HashVal {
 		return Header{}, nil, ErrBadHash

@@ -53,6 +53,42 @@ func TestDecodeHeaderRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeHeaderRejectsBadFields covers the header fields the CRC does not
+// pin down: the reserved byte, and a fragment index outside its total. Each
+// wire image carries a valid CRC, so only the field check can reject it.
+func TestDecodeHeaderRejectsBadFields(t *testing.T) {
+	cases := []struct {
+		name     string
+		idx, tot uint16
+		reserved byte
+		want     error
+	}{
+		{"single fragment", 0, 1, 0, nil},
+		{"last of three", 2, 3, 0, nil},
+		{"zero total", 0, 0, 0, ErrBadField},
+		{"index equals total", 3, 3, 0, ErrBadField},
+		{"index past total", 9, 2, 0, ErrBadField},
+		{"reserved byte set", 0, 1, 0x01, ErrBadField},
+		{"reserved byte high bit", 1, 2, 0x80, ErrBadField},
+	}
+	for _, c := range cases {
+		h := Header{Type: TypeUpdateReq, SessionID: 3, SeqNum: 11, FragIdx: c.idx, FragTotal: c.tot}
+		h.Seal()
+		wire := h.Encode(nil)
+		wire[1] = c.reserved
+		got, _, err := DecodeHeader(wire)
+		if c.want == nil {
+			if err != nil || got != h {
+				t.Errorf("%s: got %+v, %v; want %+v", c.name, got, err, h)
+			}
+			continue
+		}
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+}
+
 func TestHashDependsOnRequestIdentityNotType(t *testing.T) {
 	base := Header{Type: TypeUpdateReq, SessionID: 1, SeqNum: 1, FragIdx: 0, FragTotal: 1}
 	h0 := base.ComputeHash()
@@ -276,6 +312,56 @@ func TestDecodeRequestErrors(t *testing.T) {
 	}
 }
 
+// TestResponseManyArgsRoundTrip pins the uvarint argument count: a
+// 256-argument vector used to encode its count as byte(256) == 0 and decode
+// as an empty response with a nil error.
+func TestResponseManyArgsRoundTrip(t *testing.T) {
+	for _, n := range []int{127, 128, 256, 300} {
+		r := Response{Status: StatusOK, Args: make([][]byte, n)}
+		for i := range r.Args {
+			r.Args[i] = []byte{byte(i), byte(i >> 8)}
+		}
+		got, err := DecodeResponse(r.Encode())
+		if err != nil {
+			t.Fatalf("%d args: %v", n, err)
+		}
+		if len(got.Args) != n {
+			t.Fatalf("%d args decoded as %d", n, len(got.Args))
+		}
+		for i := range r.Args {
+			if !bytes.Equal(got.Args[i], r.Args[i]) {
+				t.Fatalf("%d args: arg %d = %v, want %v", n, i, got.Args[i], r.Args[i])
+			}
+		}
+	}
+}
+
+// TestArgCountWireFormat pins the count encoding below 128 arguments to the
+// single byte every committed golden was produced with.
+func TestArgCountWireFormat(t *testing.T) {
+	got := PutReq([]byte("k"), []byte("vv")).Encode()
+	want := []byte{byte(OpPut), 2, 1, 'k', 2, 'v', 'v'}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("PutReq wire = %v, want %v", got, want)
+	}
+}
+
+func TestDecodeRejectsTrailingBytes(t *testing.T) {
+	req := append(GetReq([]byte("key")).Encode(), 0)
+	if _, err := DecodeRequest(req); !errors.Is(err, ErrTrailing) {
+		t.Fatalf("request with a trailing byte: err = %v, want ErrTrailing", err)
+	}
+	resp := append(Response{Status: StatusOK}.Encode(), 1, 2)
+	if _, err := DecodeResponse(resp); !errors.Is(err, ErrTrailing) {
+		t.Fatalf("response with trailing bytes: err = %v, want ErrTrailing", err)
+	}
+	// A count claiming more arguments than there are bytes is truncated, and
+	// must not size an allocation from the claim.
+	if _, err := DecodeResponse([]byte{byte(StatusOK), 0xff, 0xff, 0xff, 0x7f}); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("huge arg count: err = %v, want ErrTruncated", err)
+	}
+}
+
 func TestOpMutates(t *testing.T) {
 	if OpGet.Mutates() || OpNop.Mutates() {
 		t.Fatal("reads must not be mutating")
@@ -330,7 +416,8 @@ func TestQuickFragmentReassemble(t *testing.T) {
 }
 
 // Property: header encode/decode is the identity for any sealed header with
-// a valid type.
+// a valid type and a fragment index inside its total; any other fragment
+// pair is rejected as a malformed field.
 func TestQuickHeaderRoundTrip(t *testing.T) {
 	f := func(typ uint8, sess uint16, seq uint32, fi, ft uint16) bool {
 		h := Header{
@@ -339,6 +426,9 @@ func TestQuickHeaderRoundTrip(t *testing.T) {
 		}
 		h.Seal()
 		got, _, err := DecodeHeader(h.Encode(nil))
+		if fi >= ft {
+			return errors.Is(err, ErrBadField)
+		}
 		return err == nil && got == h
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -103,15 +103,17 @@ type Response struct {
 // Codec errors.
 var (
 	ErrTruncated = errors.New("protocol: truncated request payload")
+	ErrTrailing  = errors.New("protocol: trailing bytes after payload")
 	ErrBadOp     = errors.New("protocol: unknown operation")
 )
 
+// encodeArgs appends the argument vector: a uvarint count, then each
+// argument as a uvarint length and its bytes. Below 128 arguments the count
+// is a single byte.
 func encodeArgs(dst []byte, args [][]byte) []byte {
-	dst = append(dst, byte(len(args)))
-	var tmp [binary.MaxVarintLen64]byte
+	dst = binary.AppendUvarint(dst, uint64(len(args)))
 	for _, a := range args {
-		n := binary.PutUvarint(tmp[:], uint64(len(a)))
-		dst = append(dst, tmp[:n]...)
+		dst = binary.AppendUvarint(dst, uint64(len(a)))
 		dst = append(dst, a...)
 	}
 	return dst
@@ -120,22 +122,25 @@ func encodeArgs(dst []byte, args [][]byte) []byte {
 // argsSize returns the encoded size of an argument vector, so Encode can
 // allocate its output in one shot instead of growing through appends.
 func argsSize(args [][]byte) int {
-	n := 1 // arg count byte
 	var tmp [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(tmp[:], uint64(len(args)))
 	for _, a := range args {
 		n += binary.PutUvarint(tmp[:], uint64(len(a))) + len(a)
 	}
 	return n
 }
 
+// decodeArgs parses an argument vector that must fill b exactly. Each
+// argument takes at least its one-byte length, so a count larger than the
+// bytes left is truncated before anything is allocated for it.
 func decodeArgs(b []byte) ([][]byte, error) {
-	if len(b) < 1 {
+	argc, n := binary.Uvarint(b)
+	if n <= 0 || argc > uint64(len(b)-n) {
 		return nil, ErrTruncated
 	}
-	argc := int(b[0])
-	b = b[1:]
+	b = b[n:]
 	args := make([][]byte, 0, argc)
-	for i := 0; i < argc; i++ {
+	for i := uint64(0); i < argc; i++ {
 		l, n := binary.Uvarint(b)
 		if n <= 0 || uint64(len(b)-n) < l {
 			return nil, ErrTruncated
@@ -143,6 +148,9 @@ func decodeArgs(b []byte) ([][]byte, error) {
 		b = b[n:]
 		args = append(args, b[:l:l])
 		b = b[l:]
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%w: %d", ErrTrailing, len(b))
 	}
 	return args, nil
 }
