@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build cross-build test race vet lint lint-sarif ci bench bench-json microbench trace-smoke \
 	shard-smoke openloop-smoke speedup-smoke impairments-smoke bench-baseline \
-	bench-regression benchdiff sched-baseline sched-gate
+	bench-regression benchdiff sched-baseline sched-gate fuzz-smoke
 
 all: build test
 
@@ -36,8 +36,18 @@ lint-sarif:
 	$(GO) run ./cmd/pmnetlint -format sarif ./... > lint.sarif
 
 # Everything CI runs, in the same order.
-ci: build cross-build test race vet lint trace-smoke shard-smoke openloop-smoke speedup-smoke \
-	impairments-smoke sched-gate
+ci: build cross-build test race vet lint fuzz-smoke trace-smoke shard-smoke openloop-smoke \
+	speedup-smoke impairments-smoke sched-gate
+
+# Codec fuzz smoke: a few seconds of native fuzzing per protocol decoder on
+# top of the committed seed corpus (internal/protocol/testdata/fuzz). go test
+# fuzzes one target per run.
+FUZZ_TARGETS = FuzzDecodeHeader FuzzDecodeRequest FuzzDecodeResponse FuzzReassembler
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 3s -parallel 2 ./internal/protocol || exit 1; \
+	done
+	@echo "fuzz-smoke: $(FUZZ_TARGETS) ran 3s each without a failure"
 
 # Trace determinism smoke: the pinned scenario's chrome://tracing bytes must
 # match the golden (same bytes TestTraceGoldenSmoke pins), and 8 concurrent

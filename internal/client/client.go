@@ -115,7 +115,8 @@ type Session struct {
 	// outstanding requests keyed by first fragment seq; fragment seq → owner.
 	requests map[uint32]*pending
 	bySeq    map[uint32]*pending
-	freeP    []*pending // recycled request records
+	freeP    []*pending         // recycled request records
+	frags    []protocol.Message // fragmentation scratch, reused by every issue
 	stats    Stats
 	tracer   *trace.Tracer // picked up from the network at New; nil = off
 	closed   bool
@@ -232,7 +233,8 @@ func (s *Session) issue(typ protocol.Type, payload []byte, isUpdate bool, done f
 	} else {
 		first = s.nextBypSeq
 	}
-	msgs := protocol.Fragment(typ, s.cfg.Session, first, payload, s.cfg.MTU)
+	msgs := protocol.AppendFragments(s.frags[:0], typ, s.cfg.Session, first, payload, s.cfg.MTU)
+	s.frags = msgs
 	if isUpdate {
 		s.nextUpdSeq += uint32(len(msgs))
 	} else {

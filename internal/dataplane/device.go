@@ -110,6 +110,10 @@ type Device struct {
 	tracer *trace.Tracer // picked up from the network at New; nil = off
 	down   bool
 	jobs   []*pipeJob // recycled egress records (per-device)
+	acks   []*ackJob  // recycled persist-to-ACK records
+	ttls   []*ttlJob  // recycled repair-timer records
+	args   [][]byte   // request/response decoding scratch
+	pair   [2][]byte  // cache-response argument vector
 }
 
 // pipeJob is one pooled traversal of the MAT pipeline: a packet waiting out
@@ -146,6 +150,40 @@ func (d *Device) egress(j *pipeJob) {
 		return
 	}
 	d.net.Transmit(pkt, d.id)
+}
+
+// ackJob is one pooled logged update awaiting its PM persist: the fields
+// its PMNet-ACK needs, copied out of the pool-owned packet. Like pipeJob,
+// its callback is bound once and the record is recycled before it acts. An
+// entry that never persists (power failure, or a server-ACK that raced the
+// write) never calls back; its record is left to the collector.
+type ackJob struct {
+	d       *Device
+	hdr     protocol.Header
+	client  netsim.NodeID
+	srcPort uint16
+	dstPort uint16
+	fn      func()
+}
+
+func (d *Device) getAck() *ackJob {
+	if k := len(d.acks) - 1; k >= 0 {
+		j := d.acks[k]
+		d.acks = d.acks[:k]
+		return j
+	}
+	j := &ackJob{d: d}
+	j.fn = func() { j.d.persisted(j) }
+	return j
+}
+
+// ttlJob is one pooled entry repair timer (see armEntryTTL), bound once and
+// recycled before it acts.
+type ttlJob struct {
+	d    *Device
+	hash uint32
+	idx  int
+	fn   func()
 }
 
 // New creates a PMNet device, registers it with the network under name, and
@@ -318,14 +356,25 @@ func (d *Device) HandlePacket(pkt *netsim.Packet) {
 	}
 }
 
+// decodeRequest decodes a single-fragment request into the device's
+// argument scratch; the result is valid until the next decode.
+func (d *Device) decodeRequest(msg protocol.Message) (protocol.Request, bool) {
+	if msg.Hdr.FragTotal > 1 {
+		return protocol.Request{}, false
+	}
+	req, err := protocol.DecodeRequestInto(msg.Payload, d.args)
+	if err != nil {
+		return protocol.Request{}, false
+	}
+	d.args = req.Args
+	return req, true
+}
+
 // cacheKeyValue extracts the (key, value) of a cacheable single-fragment
 // KV update, or ok=false.
-func cacheKeyValue(msg protocol.Message) (key string, value []byte, ok bool) {
-	if msg.Hdr.FragTotal > 1 {
-		return "", nil, false
-	}
-	req, err := protocol.DecodeRequest(msg.Payload)
-	if err != nil || req.Op != protocol.OpPut || len(req.Args) < 2 {
+func (d *Device) cacheKeyValue(msg protocol.Message) (key string, value []byte, ok bool) {
+	req, ok := d.decodeRequest(msg)
+	if !ok || req.Op != protocol.OpPut || len(req.Args) < 2 {
 		return "", nil, false
 	}
 	return string(req.Args[0]), req.Args[1], true
@@ -344,48 +393,57 @@ func (d *Device) handleUpdate(pkt *netsim.Packet) {
 	d.forward(pkt)
 
 	msg := pkt.Msg
-	client := pkt.From
-	server := pkt.To
-	srcPort, dstPort := pkt.SrcPort, pkt.DstPort
-	res := d.log.Insert(msg, int(server), &d.stats.Log, func() {
-		d.armEntryTTL(msg.Hdr.HashVal)
-		if d.tracer != nil {
-			span := trace.SpanID(msg.Hdr.SessionID, msg.Hdr.SeqNum)
-			d.tracer.Emit(trace.EvPersist, uint64(d.id), uint64(msg.Hdr.HashVal), span)
-			d.tracer.Emit(trace.EvPMNetAck, uint64(d.id), 0, span)
-			d.emitGauges()
-		}
-		// Persist complete: generate the PMNet-ACK (egress step 6').
-		ack := protocol.Header{
-			Type:      protocol.TypePMNetACK,
-			SessionID: msg.Hdr.SessionID,
-			SeqNum:    msg.Hdr.SeqNum,
-			FragIdx:   msg.Hdr.FragIdx,
-			FragTotal: msg.Hdr.FragTotal,
-		}
-		ack.Seal()
-		d.stats.AcksSent++
-		d.sendNew(client, dstPort, srcPort, protocol.Message{Hdr: ack})
-	})
-	if res == insertAccepted && d.cache != nil {
-		if key, value, ok := cacheKeyValue(msg); ok {
+	j := d.getAck()
+	j.hdr, j.client, j.srcPort, j.dstPort = msg.Hdr, pkt.From, pkt.SrcPort, pkt.DstPort
+	res := d.log.Insert(msg, int(pkt.To), &d.stats.Log, j.fn)
+	if res != insertAccepted {
+		// Collision / queue-full / oversize: the packet was forwarded but
+		// not logged and the client gets no early ACK (§IV-B1). It will
+		// complete on the server's ACK instead.
+		d.acks = append(d.acks, j)
+		return
+	}
+	if d.cache != nil {
+		if key, value, ok := d.cacheKeyValue(msg); ok {
 			d.hashKey[msg.Hdr.HashVal] = key
 			d.cache.OnUpdate(key, value)
 		}
 	}
-	// Collision / queue-full / oversize: the packet was forwarded but not
-	// logged and the client gets no early ACK (§IV-B1). It will complete on
-	// the server's ACK instead.
+}
+
+// persisted runs when a logged update is durable: arm its repair timer and
+// generate the PMNet-ACK (egress step 6').
+func (d *Device) persisted(j *ackJob) {
+	hdr, client, srcPort, dstPort := j.hdr, j.client, j.srcPort, j.dstPort
+	d.acks = append(d.acks, j)
+	d.armEntryTTL(hdr.HashVal)
+	if d.tracer != nil {
+		span := trace.SpanID(hdr.SessionID, hdr.SeqNum)
+		d.tracer.Emit(trace.EvPersist, uint64(d.id), uint64(hdr.HashVal), span)
+		d.tracer.Emit(trace.EvPMNetAck, uint64(d.id), 0, span)
+		d.emitGauges()
+	}
+	ack := protocol.Header{
+		Type:      protocol.TypePMNetACK,
+		SessionID: hdr.SessionID,
+		SeqNum:    hdr.SeqNum,
+		FragIdx:   hdr.FragIdx,
+		FragTotal: hdr.FragTotal,
+	}
+	ack.Seal()
+	d.stats.AcksSent++
+	d.sendNew(client, dstPort, srcPort, protocol.Message{Hdr: ack})
 }
 
 // handleBypass forwards reads and synchronization requests; with caching
 // enabled, GET requests may be served from the cache (Figure 10).
 func (d *Device) handleBypass(pkt *netsim.Packet) {
-	if d.cache != nil && pkt.Msg.Hdr.FragTotal <= 1 {
-		if req, err := protocol.DecodeRequest(pkt.Msg.Payload); err == nil && req.Op == protocol.OpGet && len(req.Args) >= 1 {
+	if d.cache != nil {
+		if req, ok := d.decodeRequest(pkt.Msg); ok && req.Op == protocol.OpGet && len(req.Args) >= 1 {
 			key := req.Args[0]
 			if value, hit := d.cache.Lookup(string(key)); hit {
-				resp := protocol.Response{Status: protocol.StatusOK, Args: [][]byte{key, value}}
+				d.pair = [2][]byte{key, value}
+				resp := protocol.Response{Status: protocol.StatusOK, Args: d.pair[:]}
 				hdr := protocol.Header{
 					Type:      protocol.TypeCacheResp,
 					SessionID: pkt.Msg.Hdr.SessionID,
@@ -446,9 +504,11 @@ func (d *Device) handleRetrans(pkt *netsim.Packet) {
 // (Figure 10 step 5), then forwards it.
 func (d *Device) handleReadResp(pkt *netsim.Packet) {
 	if d.cache != nil && pkt.Msg.Hdr.FragTotal <= 1 {
-		if resp, err := protocol.DecodeResponse(pkt.Msg.Payload); err == nil &&
-			resp.Status == protocol.StatusOK && len(resp.Args) >= 2 {
-			d.cache.OnReadResponse(string(resp.Args[0]), resp.Args[1])
+		if resp, err := protocol.DecodeResponseInto(pkt.Msg.Payload, d.args); err == nil {
+			d.args = resp.Args
+			if resp.Status == protocol.StatusOK && len(resp.Args) >= 2 {
+				d.cache.OnReadResponse(string(resp.Args[0]), resp.Args[1])
+			}
 		}
 	}
 	if pkt.To != d.id {
@@ -475,27 +535,40 @@ func (d *Device) armEntryTTL(hash uint32) {
 	if d.cfg.EntryTTL < 0 {
 		return
 	}
-	idx := d.log.slotFor(hash)
-	d.eng.After(d.cfg.EntryTTL, func() {
-		s := &d.log.slots[idx]
-		if d.down || s.state != slotValid || s.hash != hash {
-			return // reclaimed (or replaced) in the meantime
+	var j *ttlJob
+	if k := len(d.ttls) - 1; k >= 0 {
+		j = d.ttls[k]
+		d.ttls = d.ttls[:k]
+	} else {
+		j = &ttlJob{d: d}
+		j.fn = func() { j.d.entryTTLExpired(j) }
+	}
+	j.hash, j.idx = hash, d.log.slotFor(hash)
+	d.eng.After(d.cfg.EntryTTL, j.fn)
+}
+
+// entryTTLExpired fires an entry's repair timer (see armEntryTTL).
+func (d *Device) entryTTLExpired(j *ttlJob) {
+	hash, idx := j.hash, j.idx
+	d.ttls = append(d.ttls, j)
+	s := &d.log.slots[idx]
+	if d.down || s.state != slotValid || s.hash != hash {
+		return // reclaimed (or replaced) in the meantime
+	}
+	if s.resends >= d.cfg.ResendLimit {
+		return // give up; the recovery poll remains the backstop
+	}
+	s.resends++
+	dst := netsim.NodeID(s.dst)
+	served := d.log.ReadSlot(idx, func(msg protocol.Message, ok bool) {
+		if !ok {
+			return // reclaimed while the read was queued
 		}
-		if s.resends >= d.cfg.ResendLimit {
-			return // give up; the recovery poll remains the backstop
-		}
-		s.resends++
-		dst := netsim.NodeID(s.dst)
-		served := d.log.ReadSlot(idx, func(msg protocol.Message, ok bool) {
-			if !ok {
-				return // reclaimed while the read was queued
-			}
-			d.stats.TTLResends++
-			d.sendNew(dst, 0, protocol.PortMin, msg)
-		})
-		_ = served // queue momentarily full: the rescheduled timer retries
-		d.armEntryTTL(hash)
+		d.stats.TTLResends++
+		d.sendNew(dst, 0, protocol.PortMin, msg)
 	})
+	_ = served // queue momentarily full: the rescheduled timer retries
+	d.armEntryTTL(hash)
 }
 
 // startRecovery replays every logged request destined for the recovering

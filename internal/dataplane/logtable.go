@@ -53,6 +53,36 @@ type LogTable struct {
 	slots    []slotMeta
 	live     int    // count of slotValid entries, kept incrementally
 	scratch  []byte // entry staging buffer (safe to reuse: TryWrite copies synchronously)
+	writes   []*logWrite
+}
+
+// logWrite is one pooled log-entry write in the PM queue. Its callback is
+// bound once at allocation, and the record is recycled before it acts, so
+// the persist callback may log the next entry and reuse it at once. A write
+// lost to a power failure never calls back; its record is left to the
+// collector.
+type logWrite struct {
+	t         *LogTable
+	idx       int
+	stats     *LogStats
+	onPersist func()
+	fn        func()
+}
+
+func (t *LogTable) getWrite() *logWrite {
+	if k := len(t.writes) - 1; k >= 0 {
+		w := t.writes[k]
+		t.writes = t.writes[:k]
+		return w
+	}
+	w := &logWrite{t: t}
+	w.fn = func() { w.t.written(w) }
+	return w
+}
+
+func (t *LogTable) putWrite(w *logWrite) {
+	w.stats, w.onPersist = nil, nil
+	t.writes = append(t.writes, w)
 }
 
 // LogStats counts log activity.
@@ -141,28 +171,10 @@ func (t *LogTable) Insert(msg protocol.Message, dst int, stats *LogStats, onPers
 	entry = msg.Hdr.Encode(entry)
 	entry = append(entry, msg.Payload...)
 	t.scratch = entry
-	ok := t.queue.TryWrite(t.slotOffset(idx), entry, func() {
-		switch {
-		case s.invalidateOnDone:
-			// A server-ACK arrived while the write was in the queue: the
-			// server has already processed the request, so reclaim
-			// immediately and do not acknowledge.
-			s.invalidateOnDone = false
-			t.reclaim(idx, stats)
-		default:
-			// A re-logged entry (retransmission racing its own first PM
-			// write) completes twice: count the empty/writing → valid
-			// transition, not the callback.
-			if s.state != slotValid {
-				t.live++
-			}
-			s.state = slotValid
-			if onPersist != nil {
-				onPersist()
-			}
-		}
-	})
-	if !ok {
+	w := t.getWrite()
+	w.idx, w.stats, w.onPersist = idx, stats, onPersist
+	if !t.queue.TryWrite(t.slotOffset(idx), entry, w.fn) {
+		t.putWrite(w)
 		stats.BypassedFull++
 		return insertQueueFull
 	}
@@ -177,6 +189,32 @@ func (t *LogTable) Insert(msg protocol.Message, dst int, stats *LogStats, onPers
 	s.resends = 0
 	stats.Logged++
 	return insertAccepted
+}
+
+// written retires a log-entry write once it is durable.
+func (t *LogTable) written(w *logWrite) {
+	idx, stats, onPersist := w.idx, w.stats, w.onPersist
+	t.putWrite(w)
+	s := &t.slots[idx]
+	switch {
+	case s.invalidateOnDone:
+		// A server-ACK arrived while the write was in the queue: the
+		// server has already processed the request, so reclaim
+		// immediately and do not acknowledge.
+		s.invalidateOnDone = false
+		t.reclaim(idx, stats)
+	default:
+		// A re-logged entry (retransmission racing its own first PM
+		// write) completes twice: count the empty/writing → valid
+		// transition, not the callback.
+		if s.state != slotValid {
+			t.live++
+		}
+		s.state = slotValid
+		if onPersist != nil {
+			onPersist()
+		}
+	}
 }
 
 // reclaim writes the tombstone and clears the mirror. Invalidation uses a

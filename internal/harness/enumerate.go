@@ -248,7 +248,11 @@ type recoveryOut struct {
 	total   sim.Time // virtual time from power-on to drained log
 	perReq  sim.Time // total / resends
 	drained bool
+	events  uint64 // events the cell's testbed ran
 }
+
+// CellEvents feeds the deterministic event count into CellResult.Events.
+func (v recoveryOut) CellEvents() uint64 { return v.events }
 
 func recoveryCells(seed uint64) []Cell {
 	return []Cell{{Key: "crash-replay", Custom: func() (any, sim.Time) {
@@ -284,6 +288,7 @@ func recoveryCells(seed uint64) []Cell {
 			out.perReq = out.total / sim.Time(out.resends)
 		}
 		out.drained = bed.Devices[0].Log().LiveEntries() == 0
+		out.events = bed.EventsRun()
 		return out, bed.Now()
 	}}}
 }
@@ -294,10 +299,20 @@ func tpcclockCells(seed uint64) []Cell {
 		UpdateRatio: 0.88, Seed: seed})}
 }
 
+// tailCell is the tail experiment's Custom-cell payload: one update-latency
+// distribution and the events its testbed ran.
+type tailCell struct {
+	hist   *stats.Histogram
+	events uint64
+}
+
+// CellEvents feeds the deterministic event count into CellResult.Events.
+func (v tailCell) CellEvents() uint64 { return v.events }
+
 // tailMeasure drives 4 measured updaters — plus, when noisy, 100 background
 // readers saturating the server CPU — and returns the update-latency
 // distribution.
-func tailMeasure(seed uint64, d pmnet.Design, noisy bool) (*stats.Histogram, sim.Time) {
+func tailMeasure(seed uint64, d pmnet.Design, noisy bool) (tailCell, sim.Time) {
 	bed := pmnet.NewTestbed(pmnet.Config{
 		Design:  d,
 		Clients: 4 + 100, // 4 measured updaters + 100 background readers
@@ -338,7 +353,7 @@ func tailMeasure(seed uint64, d pmnet.Design, noisy bool) (*stats.Histogram, sim
 		}
 	}
 	bed.Run()
-	return h, bed.Now()
+	return tailCell{hist: h, events: bed.EventsRun()}, bed.Now()
 }
 
 func tailCells(seed uint64) []Cell {
@@ -353,8 +368,7 @@ func tailCells(seed uint64) []Cell {
 			cells = append(cells, Cell{
 				Key: fmt.Sprintf("%s/%s", label, designShort(d)),
 				Custom: func() (any, sim.Time) {
-					h, now := tailMeasure(seed, d, noisy)
-					return h, now
+					return tailMeasure(seed, d, noisy)
 				},
 			})
 		}

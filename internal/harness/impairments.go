@@ -154,6 +154,7 @@ func impairRecoveryCell(sc impairScenario, seed uint64) Cell {
 			out.perReq = out.total / sim.Time(out.resends)
 		}
 		out.drained = bed.Devices[0].Log().LiveEntries() == 0
+		out.events = bed.EventsRun()
 		return out, bed.Now()
 	}}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"pmnet/internal/sim"
@@ -91,6 +92,22 @@ func TestParallelGoldenAll(t *testing.T) {
 		if st, pt := s.Text(), p.Text(); st != pt {
 			t.Errorf("%s: parallel output differs from sequential:\n--- seq ---\n%s\n--- par ---\n%s",
 				s.ID, st, pt)
+		}
+	}
+}
+
+// TestCustomCellsReportEvents checks that the experiments built from Custom
+// cells around their own testbeds surface each testbed's event count, so
+// the BENCH document rates them (events/sec, allocs/event) like Cfg cells.
+func TestCustomCellsReportEvents(t *testing.T) {
+	for _, id := range []string{"tail", "recovery", "impairments"} {
+		for _, c := range Specs[id].Enumerate(1) {
+			if id == "impairments" && !strings.HasSuffix(c.Key, "/recovery") {
+				continue
+			}
+			if r := execCell(c); r.Events == 0 {
+				t.Errorf("%s/%s reports 0 events", id, c.Key)
+			}
 		}
 	}
 }

@@ -403,7 +403,7 @@ func tailRender(seed uint64, cells []CellResult) Result {
 	i := 0
 	for _, noisy := range []bool{false, true} {
 		for _, d := range []pmnet.Design{pmnet.ClientServer, pmnet.PMNetSwitch} {
-			h := cells[i].V.(*stats.Histogram)
+			h := cells[i].V.(tailCell).hist
 			i++
 			label := "idle"
 			if noisy {

@@ -39,6 +39,13 @@ func DecodeMessage(b []byte) (Message, error) {
 // mtu bounds the whole datagram body (header + payload chunk). A zero or
 // negative mtu uses the default MTU. Empty payloads produce one fragment.
 func Fragment(typ Type, session uint16, firstSeq uint32, payload []byte, mtu int) []Message {
+	return AppendFragments(nil, typ, session, firstSeq, payload, mtu)
+}
+
+// AppendFragments is Fragment appending to dst, so a caller that reuses one
+// scratch slice fragments without allocating. The fragments' payloads alias
+// payload.
+func AppendFragments(dst []Message, typ Type, session uint16, firstSeq uint32, payload []byte, mtu int) []Message {
 	if mtu <= 0 {
 		mtu = MTU
 	}
@@ -46,20 +53,13 @@ func Fragment(typ Type, session uint16, firstSeq uint32, payload []byte, mtu int
 	if chunk <= 0 {
 		panic(fmt.Sprintf("protocol: mtu %d leaves no room for payload", mtu))
 	}
-	total := (len(payload) + chunk - 1) / chunk
-	if total == 0 {
-		total = 1
-	}
+	total := max((len(payload)+chunk-1)/chunk, 1)
 	if total > 0xFFFF {
 		panic(fmt.Sprintf("protocol: query needs %d fragments (max 65535)", total))
 	}
-	msgs := make([]Message, 0, total)
 	for i := 0; i < total; i++ {
 		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(payload) {
-			hi = len(payload)
-		}
+		hi := min(lo+chunk, len(payload))
 		h := Header{
 			Type:      typ,
 			SessionID: session,
@@ -68,9 +68,9 @@ func Fragment(typ Type, session uint16, firstSeq uint32, payload []byte, mtu int
 			FragTotal: uint16(total),
 		}
 		h.Seal()
-		msgs = append(msgs, Message{Hdr: h, Payload: payload[lo:hi]})
+		dst = append(dst, Message{Hdr: h, Payload: payload[lo:hi]})
 	}
-	return msgs
+	return dst
 }
 
 // ErrIncomplete is returned by Reassembler.Add while fragments are missing.
@@ -127,7 +127,11 @@ func (r *Reassembler) Add(m Message) ([]byte, error) {
 			m.Hdr.SeqNum, r.firstSeq, idx)
 	}
 	if r.parts[idx] == nil {
-		r.parts[idx] = m.Payload
+		p := m.Payload
+		if p == nil {
+			p = []byte{} // an empty fragment still counts as arrived
+		}
+		r.parts[idx] = p
 		r.got++
 	}
 	if !r.Complete() {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"pmnet/internal/raceflag"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -359,6 +361,72 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	// must not size an allocation from the claim.
 	if _, err := DecodeResponse([]byte{byte(StatusOK), 0xff, 0xff, 0xff, 0x7f}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("huge arg count: err = %v, want ErrTruncated", err)
+	}
+}
+
+// Accepted payloads are canonical: a varint padded with continuation bytes
+// decodes to the same number but would re-encode differently, so it is
+// rejected.
+func TestDecodeRejectsNonMinimalVarint(t *testing.T) {
+	for _, b := range [][]byte{
+		{byte(OpGet), 0x81, 0x00, 1, 'k'}, // count 1 in two bytes
+		{byte(OpGet), 1, 0x81, 0x00, 'k'}, // length 1 in two bytes
+	} {
+		if _, err := DecodeRequest(b); !errors.Is(err, ErrVarint) {
+			t.Errorf("DecodeRequest(%x): err = %v, want ErrVarint", b, err)
+		}
+	}
+	if _, err := DecodeResponse([]byte{byte(StatusOK), 0x80, 0x00}); !errors.Is(err, ErrVarint) {
+		t.Errorf("DecodeResponse with a padded zero count: err = %v, want ErrVarint", err)
+	}
+}
+
+func TestDecodeRequestIntoReusesScratch(t *testing.T) {
+	put := PutReq([]byte("key"), []byte("value")).Encode()
+	get := GetReq([]byte("other")).Encode()
+	req, err := DecodeRequestInto(put, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := req.Args
+	req, err = DecodeRequestInto(get, scratch)
+	if err != nil || req.Op != OpGet || len(req.Args) != 1 || string(req.Args[0]) != "other" {
+		t.Fatalf("decode into used scratch = %v, %v", req, err)
+	}
+	if &req.Args[0] != &scratch[0] {
+		t.Fatal("DecodeRequestInto did not reuse a scratch with enough capacity")
+	}
+	if !raceflag.Enabled {
+		allocs := testing.AllocsPerRun(100, func() {
+			req, _ = DecodeRequestInto(put, scratch)
+		})
+		if allocs != 0 {
+			t.Errorf("DecodeRequestInto with warm scratch allocated %.1f objects, want 0", allocs)
+		}
+	}
+}
+
+func TestAppendFragmentsMatchesFragment(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789"), 50)
+	want := Fragment(TypeUpdateReq, 3, 10, payload, 100)
+	scratch := []Message{{Payload: []byte("stale")}}
+	got := AppendFragments(scratch[:0], TypeUpdateReq, 3, 10, payload, 100)
+	if len(got) != len(want) {
+		t.Fatalf("%d fragments, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Hdr != want[i].Hdr || !bytes.Equal(got[i].Payload, want[i].Payload) {
+			t.Fatalf("fragment %d = %v, want %v", i, got[i].Hdr, want[i].Hdr)
+		}
+	}
+}
+
+// A fragment with an empty payload still counts as received.
+func TestReassemblerEmptyFragment(t *testing.T) {
+	r := NewReassembler(5, 1)
+	out, err := r.Add(Message{Hdr: Header{SeqNum: 5, FragTotal: 1}})
+	if err != nil || len(out) != 0 || !r.Complete() || len(r.Missing()) != 0 {
+		t.Fatalf("empty fragment: out %q, err %v, complete %v", out, err, r.Complete())
 	}
 }
 

@@ -105,6 +105,7 @@ var (
 	ErrTruncated = errors.New("protocol: truncated request payload")
 	ErrTrailing  = errors.New("protocol: trailing bytes after payload")
 	ErrBadOp     = errors.New("protocol: unknown operation")
+	ErrVarint    = errors.New("protocol: non-minimal varint")
 )
 
 // encodeArgs appends the argument vector: a uvarint count, then each
@@ -130,19 +131,44 @@ func argsSize(args [][]byte) int {
 	return n
 }
 
-// decodeArgs parses an argument vector that must fill b exactly. Each
-// argument takes at least its one-byte length, so a count larger than the
-// bytes left is truncated before anything is allocated for it.
-func decodeArgs(b []byte) ([][]byte, error) {
-	argc, n := binary.Uvarint(b)
-	if n <= 0 || argc > uint64(len(b)-n) {
+// uvarint reads a uvarint that must be in its minimal form, so that every
+// accepted payload is exactly the bytes Encode produces for it. A minimal
+// encoding longer than one byte never ends in a zero byte.
+func uvarint(b []byte) (uint64, int, error) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, 0, ErrTruncated
+	}
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0, ErrVarint
+	}
+	return v, n, nil
+}
+
+// decodeArgs parses an argument vector that must fill b exactly, appending
+// the arguments to dst (which may hold stale entries past its length; they
+// are overwritten). Each argument takes at least its one-byte length, so a
+// count larger than the bytes left is truncated before anything is
+// allocated for it.
+func decodeArgs(dst [][]byte, b []byte) ([][]byte, error) {
+	argc, n, err := uvarint(b)
+	if err != nil {
+		return nil, err
+	}
+	if argc > uint64(len(b)-n) {
 		return nil, ErrTruncated
 	}
 	b = b[n:]
-	args := make([][]byte, 0, argc)
+	args := dst[:0]
+	if args == nil || uint64(cap(args)) < argc {
+		args = make([][]byte, 0, argc)
+	}
 	for i := uint64(0); i < argc; i++ {
-		l, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b)-n) < l {
+		l, n, err := uvarint(b)
+		if err != nil {
+			return nil, err
+		}
+		if uint64(len(b)-n) < l {
 			return nil, ErrTruncated
 		}
 		b = b[n:]
@@ -162,8 +188,15 @@ func (r Request) Encode() []byte {
 	return encodeArgs(out, r.Args)
 }
 
-// DecodeRequest parses a request payload.
-func DecodeRequest(b []byte) (Request, error) {
+// DecodeRequest parses a request payload. The arguments alias b.
+func DecodeRequest(b []byte) (Request, error) { return DecodeRequestInto(b, nil) }
+
+// DecodeRequestInto is DecodeRequest with the argument vector built in the
+// caller's scratch: args[:0] is reused when its capacity suffices, so a
+// caller that keeps the returned Args for its next call decodes without
+// allocating. The returned Args is valid until that next call; the argument
+// bytes alias b.
+func DecodeRequestInto(b []byte, args [][]byte) (Request, error) {
 	if len(b) < 1 {
 		return Request{}, ErrTruncated
 	}
@@ -171,7 +204,7 @@ func DecodeRequest(b []byte) (Request, error) {
 	if op == OpNop || op >= opMax {
 		return Request{}, fmt.Errorf("%w: %d", ErrBadOp, b[0])
 	}
-	args, err := decodeArgs(b[1:])
+	args, err := decodeArgs(args, b[1:])
 	if err != nil {
 		return Request{}, err
 	}
@@ -185,12 +218,16 @@ func (r Response) Encode() []byte {
 	return encodeArgs(out, r.Args)
 }
 
-// DecodeResponse parses a response payload.
-func DecodeResponse(b []byte) (Response, error) {
+// DecodeResponse parses a response payload. The arguments alias b.
+func DecodeResponse(b []byte) (Response, error) { return DecodeResponseInto(b, nil) }
+
+// DecodeResponseInto is DecodeResponse with the argument vector built in
+// the caller's scratch, under the same rules as DecodeRequestInto.
+func DecodeResponseInto(b []byte, args [][]byte) (Response, error) {
 	if len(b) < 1 {
 		return Response{}, ErrTruncated
 	}
-	args, err := decodeArgs(b[1:])
+	args, err := decodeArgs(args, b[1:])
 	if err != nil {
 		return Response{}, err
 	}

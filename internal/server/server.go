@@ -20,6 +20,11 @@ import (
 // Handler executes application requests. It returns the response and the
 // CPU cost of processing, which the library charges to the host's worker
 // pool — that cost is the paper's "server processing time".
+//
+// Handle may keep the argument bytes (req.Args[i]) as long as it likes: they
+// alias the request payload, which is immutable once encoded. It must not
+// keep the req.Args slice itself, nor return it in the response: the library
+// decodes every request into one reused argument vector.
 type Handler interface {
 	Handle(req protocol.Request) (protocol.Response, sim.Time)
 }
@@ -86,10 +91,13 @@ type Stats struct {
 	Crashes        uint64
 }
 
+// query is one reassembled request and where to answer it. Its payload
+// aliases the packets it arrived in: payload buffers are never pooled and
+// never written after encoding, so a query (and its handler) may keep them.
 type query struct {
 	firstSeq uint32
 	lastSeq  uint32
-	req      protocol.Request
+	payload  []byte
 	from     netsim.NodeID
 	srcPort  uint16
 	dstPort  uint16
@@ -99,7 +107,7 @@ type query struct {
 // buffer. It copies the fields the ordered path needs out of the carrying
 // packet: the packet itself is pool-owned and recycled when the host's
 // receive callback returns, so it must never be retained across virtual
-// time. (Msg.Payload may be aliased freely — payload buffers are not
+// time. (Msg.Payload may be aliased freely — payload buffers are never
 // pooled.)
 type bufferedFrag struct {
 	msg     protocol.Message
@@ -130,6 +138,64 @@ type Server struct {
 	stats   Stats
 	tracer  *trace.Tracer // picked up from the network at New; nil = off
 	gen     uint64        // bumped on crash; stale CPU completions are dropped
+	args    [][]byte      // request-decoding scratch, reused by every Handle
+	free    []*completion // recycled CPU completion records
+}
+
+// completion is one pooled CPU job: a handled query waiting out its
+// processing cost before the server acknowledges (an update, st != nil) or
+// answers it (a bypass request). Its callback is bound once at allocation,
+// and the record is recycled before it acts, so the reply path may start
+// the next query and reuse it at once.
+type completion struct {
+	s      *Server
+	st     *sessState // the update's session; nil for a bypass request
+	gen    uint64
+	sessID uint16
+	q      query
+	resp   protocol.Response
+	fn     func()
+}
+
+// submit charges cost to the host CPU and schedules the completion record
+// for the handled query q.
+func (s *Server) submit(cost sim.Time, sessID uint16, st *sessState, q query, resp protocol.Response) {
+	var c *completion
+	if k := len(s.free) - 1; k >= 0 {
+		c = s.free[k]
+		s.free = s.free[:k]
+	} else {
+		c = &completion{s: s}
+		c.fn = func() { c.s.complete(c) }
+	}
+	c.st, c.gen, c.sessID, c.q, c.resp = st, s.gen, sessID, q, resp
+	s.host.CPU().Submit(cost, c.fn)
+}
+
+// complete retires a CPU job: recycle the record, then (unless a crash
+// intervened) apply-and-ACK the update or send the read response.
+func (s *Server) complete(c *completion) {
+	st, gen, sessID, q, resp := c.st, c.gen, c.sessID, c.q, c.resp
+	*c = completion{s: s, fn: c.fn}
+	s.free = append(s.free, c)
+	if gen != s.gen {
+		return
+	}
+	if st == nil {
+		s.stats.ReadsServed++
+		s.respondRead(sessID, q, resp)
+		return
+	}
+	// The handler's state mutations are durable (engines persist before
+	// returning); now persist the watermark and acknowledge.
+	s.setLastApplied(sessID, q.lastSeq)
+	s.stats.UpdatesApplied++
+	if s.tracer != nil {
+		s.tracer.Emit(trace.EvServerApply, uint64(s.host.ID()), 0, trace.SpanID(sessID, q.lastSeq))
+	}
+	s.sendServerAck(sessID, q)
+	st.busy = false
+	s.runNext(sessID, st)
 }
 
 // New binds a server library to host with the given handler.
@@ -251,13 +317,8 @@ func (s *Server) onBypass(pkt *netsim.Packet) {
 	st := s.session(hdr.SessionID)
 	st.client = pkt.From
 	firstSeq := hdr.SeqNum - uint32(hdr.FragIdx)
-	var payload []byte
-	if hdr.FragTotal <= 1 {
-		// Single-fragment query — the common case for small values: skip the
-		// reassembler and its parts table. The copy is still required: the
-		// packet's payload memory is pooled and recycled after delivery.
-		payload = append(make([]byte, 0, len(pkt.Msg.Payload)), pkt.Msg.Payload...)
-	} else {
+	payload := pkt.Msg.Payload
+	if hdr.FragTotal > 1 {
 		r, ok := st.reasm[firstSeq]
 		if !ok {
 			r = protocol.NewReassembler(firstSeq, hdr.FragTotal)
@@ -270,22 +331,16 @@ func (s *Server) onBypass(pkt *netsim.Packet) {
 		}
 		delete(st.reasm, firstSeq)
 	}
-	req, derr := protocol.DecodeRequest(payload)
-	q := query{firstSeq: firstSeq, lastSeq: hdr.SeqNum - uint32(hdr.FragIdx) + uint32(hdr.FragTotal) - 1,
-		req: req, from: pkt.From, srcPort: pkt.SrcPort, dstPort: pkt.DstPort}
+	q := query{firstSeq: firstSeq, lastSeq: firstSeq + uint32(hdr.FragTotal) - 1,
+		from: pkt.From, srcPort: pkt.SrcPort, dstPort: pkt.DstPort}
+	req, derr := protocol.DecodeRequestInto(payload, s.args)
 	if derr != nil {
 		s.respondRead(hdr.SessionID, q, protocol.Response{Status: protocol.StatusError})
 		return
 	}
-	gen := s.gen
+	s.args = req.Args
 	resp, cost := s.handler.Handle(req)
-	s.host.CPU().Submit(cost, func() {
-		if gen != s.gen {
-			return
-		}
-		s.stats.ReadsServed++
-		s.respondRead(hdr.SessionID, q, resp)
-	})
+	s.submit(cost, hdr.SessionID, nil, q, resp)
 }
 
 func (s *Server) respondRead(sessID uint16, q query, resp protocol.Response) {
@@ -446,12 +501,10 @@ func (s *Server) armGapCheck(sessID uint16, st *sessState) {
 func (s *Server) applyInOrder(sessID uint16, st *sessState, f bufferedFrag) {
 	hdr := f.msg.Hdr
 	firstSeq := hdr.SeqNum - uint32(hdr.FragIdx)
-	var payload []byte
-	if hdr.FragTotal <= 1 {
-		// Single-fragment fast path, mirroring onBypass: no reassembler, one
-		// payload copy (the fragment's memory belongs to the packet pool).
-		payload = append(make([]byte, 0, len(f.msg.Payload)), f.msg.Payload...)
-	} else {
+	// A single-fragment query (the common case) skips the reassembler and
+	// runs on the fragment's own payload.
+	payload := f.msg.Payload
+	if hdr.FragTotal > 1 {
 		r, ok := st.reasm[firstSeq]
 		if !ok {
 			r = protocol.NewReassembler(firstSeq, hdr.FragTotal)
@@ -464,14 +517,10 @@ func (s *Server) applyInOrder(sessID uint16, st *sessState, f bufferedFrag) {
 		}
 		delete(st.reasm, firstSeq)
 	}
-	req, derr := protocol.DecodeRequest(payload)
-	if derr != nil {
-		return // corrupt query: ignore; client will time out and resend
-	}
 	st.queue = append(st.queue, query{
 		firstSeq: firstSeq,
 		lastSeq:  firstSeq + uint32(hdr.FragTotal) - 1,
-		req:      req,
+		payload:  payload,
 		from:     f.from,
 		srcPort:  f.srcPort,
 		dstPort:  f.dstPort,
@@ -480,32 +529,26 @@ func (s *Server) applyInOrder(sessID uint16, st *sessState, f bufferedFrag) {
 }
 
 // runNext executes queued queries one at a time per session, preserving the
-// client's order even across the multi-worker CPU.
+// client's order even across the multi-worker CPU. A query is decoded only
+// when it runs, into the server's argument scratch.
 func (s *Server) runNext(sessID uint16, st *sessState) {
-	if st.busy || len(st.queue) == 0 {
-		return
+	for !st.busy && len(st.queue) > 0 {
+		q := st.queue[0]
+		// Shift rather than reslice, so the queue keeps its capacity.
+		n := copy(st.queue, st.queue[1:])
+		st.queue[n] = query{}
+		st.queue = st.queue[:n]
+		req, derr := protocol.DecodeRequestInto(q.payload, s.args)
+		if derr != nil {
+			continue // corrupt query: ignore; client will time out and resend
+		}
+		s.args = req.Args
+		st.busy = true
+		// Updates acknowledge with server-ACKs, not a response payload.
+		_, cost := s.handler.Handle(req)
+		q.payload = nil
+		s.submit(cost, sessID, st, q, protocol.Response{})
 	}
-	st.busy = true
-	q := st.queue[0]
-	st.queue = st.queue[1:]
-	gen := s.gen
-	resp, cost := s.handler.Handle(q.req)
-	_ = resp // updates acknowledge with server-ACKs, not a response payload
-	s.host.CPU().Submit(cost, func() {
-		if gen != s.gen {
-			return
-		}
-		// The handler's state mutations are durable (engines persist before
-		// returning); now persist the watermark and acknowledge.
-		s.setLastApplied(sessID, q.lastSeq)
-		s.stats.UpdatesApplied++
-		if s.tracer != nil {
-			s.tracer.Emit(trace.EvServerApply, uint64(s.host.ID()), 0, trace.SpanID(sessID, q.lastSeq))
-		}
-		s.sendServerAck(sessID, q)
-		st.busy = false
-		s.runNext(sessID, st)
-	})
 }
 
 // DebugSessions reports, per session, the next expected sequence number and

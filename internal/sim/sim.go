@@ -157,7 +157,17 @@ type Engine struct {
 	ov    []*node
 	ovOff int
 	free  []*node // recycled nodes
+	// pooled counts the nodes ever allocated; the next slab matches it (a
+	// doubling pool, bounded by nodeSlabMax per slab).
+	pooled int
 }
+
+// Slab bounds for warming the node pool: the first slab holds nodeSlabMin
+// nodes, each later one as many as the pool already has, up to nodeSlabMax.
+const (
+	nodeSlabMin = 16
+	nodeSlabMax = 1024
+)
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
@@ -184,14 +194,26 @@ func (e *Engine) NextTime() (Time, bool) {
 	return e.peekTime()
 }
 
-// get pops a recycled node or allocates a fresh one (pool not yet warm).
+// get pops a recycled node. The free list must not be empty: At refills it
+// through grow first, which keeps this pop small enough to inline.
 func (e *Engine) get() *node {
-	if k := len(e.free) - 1; k >= 0 {
-		n := e.free[k]
-		e.free = e.free[:k]
-		return n
+	k := len(e.free) - 1
+	n := e.free[k]
+	e.free = e.free[:k]
+	return n
+}
+
+// grow allocates one slab of nodes onto the free list while the pool warms
+// up, so warming a pool of n nodes costs O(log n) allocations instead of n.
+func (e *Engine) grow() {
+	size := min(max(e.pooled, nodeSlabMin), nodeSlabMax)
+	slab := make([]node, size)
+	for i := range slab {
+		slab[i].eng = e
+		slab[i].cancelGen = noCancel
+		e.free = append(e.free, &slab[i])
 	}
-	return &node{eng: e, cancelGen: noCancel}
+	e.pooled += size
 }
 
 // release returns a node to the free list. Bumping gen first makes every
@@ -210,6 +232,9 @@ func (e *Engine) release(n *node) {
 func (e *Engine) At(t Time, fn func()) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	if len(e.free) == 0 {
+		e.grow()
 	}
 	n := e.get()
 	n.at = t

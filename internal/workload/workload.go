@@ -21,7 +21,11 @@ type Op struct {
 	Retry bool
 }
 
-// Generator produces the request stream for one client.
+// Generator produces the request stream for one client. An Op, including
+// the memory its Req.Args point at, is valid until the next call to Next: a
+// generator may reuse its key and argument buffers. The closed-loop Driver
+// fits this contract, since it encodes each request, waits for it to
+// complete and records it before it asks for the next one.
 type Generator interface {
 	Next() Op
 }
@@ -59,6 +63,15 @@ type Driver struct {
 	eng       *sim.Engine
 	stats     DriverStats
 	lockDepth int
+
+	// The one request in flight. Its completion callback and lock-retry
+	// timer callback are bound once in Run, so a request allocates nothing
+	// on the driver's side.
+	op       Op
+	retries  int
+	next     func()
+	handleFn func(client.Result)
+	retryFn  func()
 }
 
 // Run issues n requests (completions counted; lock retries re-issue the
@@ -73,68 +86,75 @@ func (d *Driver) Run(eng *sim.Engine, n uint64, done func(DriverStats)) {
 	if d.MaxLockRetries <= 0 {
 		d.MaxLockRetries = 2000
 	}
-	var issue func()
-	issue = func() {
+	d.handleFn = d.handle
+	d.retryFn = d.send
+	d.next = func() {
 		if d.stats.Completed >= n && d.lockDepth == 0 {
 			if done != nil {
 				done(d.stats)
 			}
 			return
 		}
-		op := d.Gen.Next()
-		d.play(op, 0, issue)
+		d.op = d.Gen.Next()
+		d.retries = 0
+		d.send()
 	}
-	issue()
+	d.next()
 }
 
-// play issues one op, retrying lock conflicts, then continues with next.
-func (d *Driver) play(op Op, retries int, next func()) {
-	handle := func(r client.Result) {
-		if r.Err != nil {
-			d.stats.Failed++
-			d.stats.Completed++
-			next()
-			return
-		}
-		if op.Retry && r.Status == protocol.StatusLocked {
-			if retries >= d.MaxLockRetries {
-				d.stats.Failed++
-				d.stats.Completed++
-				next()
-				return
-			}
-			d.stats.LockRetries++
-			d.eng.After(d.RetryDelay, func() { d.play(op, retries+1, next) })
-			return
-		}
-		switch op.Req.Op {
-		case protocol.OpLockAcquire:
-			if r.Status == protocol.StatusOK {
-				d.lockDepth++
-			}
-		case protocol.OpLockRelease:
-			if d.lockDepth > 0 {
-				d.lockDepth--
-			}
-		}
-		if d.Record != nil {
-			d.Record(r.Latency, op)
-		}
-		d.stats.Completed++
-		next()
-	}
+// send issues the in-flight op (again, after a lock conflict).
+func (d *Driver) send() {
+	op := &d.op
 	switch {
 	case op.Req.Op == protocol.OpLockAcquire || op.Req.Op == protocol.OpLockRelease:
 		d.stats.LockOps++
 		d.stats.Bypasses++
-		d.Sess.Bypass(op.Req, handle)
+		d.Sess.Bypass(op.Req, d.handleFn)
 	case op.Update:
 		d.stats.Updates++
-		d.Sess.SendUpdate(op.Req, handle)
+		d.Sess.SendUpdate(op.Req, d.handleFn)
 	default:
 		d.stats.Bypasses++
-		d.Sess.Bypass(op.Req, handle)
+		d.Sess.Bypass(op.Req, d.handleFn)
 	}
+}
+
+// handle completes the in-flight op: retry a lock conflict, or record it
+// and issue the next one.
+func (d *Driver) handle(r client.Result) {
+	if r.Err != nil {
+		d.stats.Failed++
+		d.stats.Completed++
+		d.next()
+		return
+	}
+	if d.op.Retry && r.Status == protocol.StatusLocked {
+		if d.retries >= d.MaxLockRetries {
+			d.stats.Failed++
+			d.stats.Completed++
+			d.next()
+			return
+		}
+		d.stats.LockRetries++
+		d.retries++
+		d.eng.After(d.RetryDelay, d.retryFn)
+		return
+	}
+	switch d.op.Req.Op {
+	case protocol.OpLockAcquire:
+		if r.Status == protocol.StatusOK {
+			d.lockDepth++
+		}
+	case protocol.OpLockRelease:
+		if d.lockDepth > 0 {
+			d.lockDepth--
+		}
+	}
+	if d.Record != nil {
+		d.Record(r.Latency, d.op)
+	}
+	d.stats.Completed++
+	d.next()
 }
 
 // Stats returns the driver counters so far.

@@ -19,13 +19,17 @@ type YCSBConfig struct {
 	ScanLen     int     // pairs per scan (default 10)
 }
 
-// YCSB generates GET/PUT requests over a keyspace.
+// YCSB generates GET/PUT requests over a keyspace. It owns the memory of
+// the Ops it returns: the key buffer and the argument vector are reused by
+// the next Next (see Generator).
 type YCSB struct {
 	cfg   YCSBConfig
 	rand  *sim.Rand
 	zipf  *sim.Zipf
 	value []byte
 	seq   uint64
+	key   []byte    // current key, reformatted in place by each Next
+	args  [2][]byte // current argument vector
 }
 
 // NewYCSB builds a generator with its own RNG stream.
@@ -50,18 +54,20 @@ func NewYCSB(rand *sim.Rand, cfg YCSBConfig) *YCSB {
 }
 
 // YCSBKey returns the i-th key in the keyspace (for prefill). It produces
-// exactly fmt.Sprintf("user%08d", i) for non-negative i, formatted by hand:
-// key generation runs once per request on the hot path and Sprintf costs
-// several allocations per call.
-func YCSBKey(i int) []byte {
+// exactly fmt.Sprintf("user%08d", i) for non-negative i.
+func YCSBKey(i int) []byte { return appendYCSBKey(make([]byte, 0, 4+20), i) }
+
+// appendYCSBKey appends the i-th key to dst, formatted by hand: key
+// generation runs once per request on the hot path, where Sprintf would
+// cost several allocations per call.
+func appendYCSBKey(dst []byte, i int) []byte {
 	var digits [20]byte
 	n := strconv.AppendInt(digits[:0], int64(i), 10)
-	b := make([]byte, 0, 4+8+len(n))
-	b = append(b, "user"...)
+	dst = append(dst, "user"...)
 	for pad := 8 - len(n); pad > 0; pad-- {
-		b = append(b, '0')
+		dst = append(dst, '0')
 	}
-	return append(b, n...)
+	return append(dst, n...)
 }
 
 func (y *YCSB) nextKey() []byte {
@@ -71,15 +77,18 @@ func (y *YCSB) nextKey() []byte {
 	} else {
 		i = y.rand.Intn(y.cfg.Keys)
 	}
-	return YCSBKey(i)
+	y.key = appendYCSBKey(y.key[:0], i)
+	return y.key
 }
 
-// Next implements Generator.
+// Next implements Generator. The returned Op's key and argument vector are
+// the generator's own and are overwritten by the next call.
 func (y *YCSB) Next() Op {
 	y.seq++
 	key := y.nextKey()
 	if y.rand.Float64() < y.cfg.UpdateRatio {
-		return Op{Req: protocol.PutReq(key, y.value), Update: true}
+		y.args = [2][]byte{key, y.value}
+		return Op{Req: protocol.Request{Op: protocol.OpPut, Args: y.args[:2]}, Update: true}
 	}
 	if y.cfg.ScanRatio > 0 && y.rand.Float64() < y.cfg.ScanRatio {
 		scanLen := y.cfg.ScanLen
@@ -88,5 +97,6 @@ func (y *YCSB) Next() Op {
 		}
 		return Op{Req: protocol.ScanReq(key, scanLen)}
 	}
-	return Op{Req: protocol.GetReq(key)}
+	y.args = [2][]byte{key}
+	return Op{Req: protocol.Request{Op: protocol.OpGet, Args: y.args[:1]}}
 }
