@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build cross-build test race vet lint lint-sarif ci bench bench-json microbench trace-smoke \
-	shard-smoke openloop-smoke speedup-smoke impairments-smoke bench-baseline \
+	suite-golden shard-smoke openloop-smoke speedup-smoke impairments-smoke bench-baseline \
 	bench-regression benchdiff sched-baseline sched-gate fuzz-smoke
 
 all: build test
@@ -36,8 +36,8 @@ lint-sarif:
 	$(GO) run ./cmd/pmnetlint -format sarif ./... > lint.sarif
 
 # Everything CI runs, in the same order.
-ci: build cross-build test race vet lint fuzz-smoke trace-smoke shard-smoke openloop-smoke \
-	speedup-smoke impairments-smoke sched-gate
+ci: build cross-build test race vet lint fuzz-smoke trace-smoke suite-golden shard-smoke \
+	openloop-smoke speedup-smoke impairments-smoke sched-gate
 
 # Codec fuzz smoke: a few seconds of native fuzzing per protocol decoder on
 # top of the committed seed corpus (internal/protocol/testdata/fuzz). go test
@@ -62,11 +62,19 @@ trace-smoke:
 	diff -q /tmp/pmnet_trace_smoke.json testdata/trace_smoke.json
 	@echo "trace-smoke: golden match + 8-way parallel byte-identical"
 
+# Full-suite golden: every rendered experiment table at seed 1 must match the
+# committed output byte for byte. A change that moves a number on purpose
+# regenerates the golden with the same command and says so in CHANGES.md.
+suite-golden:
+	$(GO) run ./cmd/pmnetbench -run all -seed 1 -parallel 1 > /tmp/pmnet_suite_seed1.txt
+	diff testdata/suite_seed1.txt /tmp/pmnet_suite_seed1.txt
+	@echo "suite-golden: full suite byte-identical to testdata/suite_seed1.txt"
+
 # Hot-path micro-benchmarks (allocs/op must stay 0; see the pins in the
 # matching alloc_test.go files). Override BENCHTIME=1x for a CI smoke run.
 BENCHTIME ?= 1s
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule|BenchmarkCancel|BenchmarkTransmit|BenchmarkPersistAll|BenchmarkNewDevice|BenchmarkWritePersistPowerFail|BenchmarkEpochOverhead|BenchmarkBarrier' \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule|BenchmarkCancel|BenchmarkTransmit|BenchmarkForwardChain|BenchmarkPersistAll|BenchmarkNewDevice|BenchmarkWritePersistPowerFail|BenchmarkEpochOverhead|BenchmarkBarrier' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/sim ./internal/netsim ./internal/pmem ./internal/sim/pdes
 
 # Full experiment suite, cells on a GOMAXPROCS-sized worker pool.

@@ -347,11 +347,11 @@ func TestBackoffStretchesFailureTime(t *testing.T) {
 	}
 }
 
-// TestRecycledPendingTimerNeverZombies is the lazy-cancellation regression
-// test at the client layer: finishing a request cancels its retransmission
-// timer lazily (the dead node stays queued in the engine's wheel until
-// swept), and the pending record — with its once-bound timerFn closure — is
-// immediately recycled for the next request. If the dead timer fired anyway
+// TestRecycledPendingTimerNeverZombies is the cancellation regression test
+// at the client layer: finishing a request cancels its retransmission timer
+// (the engine unlinks and recycles its node at once), and the pending
+// record — with its once-bound timerFn closure — is immediately recycled
+// for the next request. If the cancelled timer fired anyway
 // it would invoke onTimeout on the RECYCLED record and trigger a spurious
 // resend for a request that never timed out. Drive many back-to-back
 // requests whose completions land well before each timeout, then let the

@@ -119,3 +119,70 @@ func BenchmarkTransmit(b *testing.B) {
 		rg.round()
 	}
 }
+
+// chainRig is host → switch → switch → host: three hops, two of them
+// forwarding decisions at switches, the shape of every multi-hop path the
+// testbeds build.
+type chainRig struct {
+	eng *sim.Engine
+	net *Network
+	a   *Host
+}
+
+// chainHops is the number of links one chainRig round traverses.
+const chainHops = 3
+
+func newChainRig() *chainRig {
+	eng := sim.NewEngine()
+	r := sim.NewRand(1)
+	n := New(eng, r)
+	a := NewHost(n, 1, "a", StackModel{}, 1, r)
+	b := NewHost(n, 2, "b", StackModel{}, 1, r)
+	NewSwitch(n, 10, "s0", DefaultSwitchLatency)
+	NewSwitch(n, 11, "s1", DefaultSwitchLatency)
+	n.Connect(1, 10, DefaultLink())
+	n.Connect(10, 11, DefaultLink())
+	n.Connect(11, 2, DefaultLink())
+	b.OnReceive(func(*Packet) {})
+	return &chainRig{eng: eng, net: n, a: a}
+}
+
+// round pushes one raw packet across the chain and drains the clock.
+func (rg *chainRig) round() {
+	pkt := rg.net.AllocPacket()
+	pkt.To = 2
+	pkt.Raw = append(pkt.Raw[:0], "ping-payload"...)
+	rg.net.Transmit(pkt, rg.a.ID())
+	rg.eng.Run()
+}
+
+// TestForwardChainAllocs pins the multi-hop path to zero steady-state
+// allocations: switch forwarding adds a delayed transmit per hop, which
+// must recycle like the rest.
+func TestForwardChainAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	rg := newChainRig()
+	rg.round()
+	if got := testing.AllocsPerRun(100, rg.round); got != 0 {
+		t.Errorf("chain round allocated %.1f objects per packet, want 0", got)
+	}
+	if s := rg.net.Stats(); s.Delivered == 0 || s.DroppedDead != 0 {
+		t.Fatalf("chain did not deliver: %+v", s)
+	}
+}
+
+// BenchmarkForwardChain measures a packet's journey over the chain and
+// reports it per hop: each hop is one forwarding decision, one link
+// serialization and one arrival.
+func BenchmarkForwardChain(b *testing.B) {
+	rg := newChainRig()
+	rg.round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rg.round()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chainHops), "ns/hop")
+}

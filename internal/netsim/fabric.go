@@ -3,11 +3,12 @@ package netsim
 // This file partitions a Network for conservative parallel simulation
 // (internal/sim/pdes). A Fabric owns a set of partition Networks — each on
 // its own (possibly shared) sim.Engine — plus the global topology spanning
-// them: one route table, one name table, and one handoff queue per ordered
-// pair of adjacent partitions. The partition structure is a pure function of
-// the topology, chosen by the builder (testbed) independently of how many
-// engines/shards drive it; that invariance is what makes `-shards 1` and
-// `-shards N` produce byte-identical output (DESIGN.md §10.4).
+// them: one node index, one forwarding table, and one handoff queue per
+// ordered pair of adjacent partitions. The partition structure is a pure
+// function of the topology, chosen by the builder (testbed) independently of
+// how many engines/shards drive it; that invariance is what makes
+// `-shards 1` and `-shards N` produce byte-identical output (DESIGN.md
+// §10.4).
 //
 // Cross-partition discipline:
 //
@@ -38,7 +39,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"pmnet/internal/sim"
 )
@@ -52,7 +52,7 @@ const xnever = sim.Time(math.MaxInt64)
 type xev struct {
 	at  sim.Time
 	pkt *Packet
-	hop NodeID
+	hop int32 // dense index of the receiving node
 }
 
 // xside is one epoch-parity half of a handoff queue: the arrival buffer, the
@@ -77,7 +77,7 @@ type xqueue struct {
 	sides    [2]xside
 }
 
-func (q *xqueue) push(parity uint32, at sim.Time, pkt *Packet, hop NodeID) {
+func (q *xqueue) push(parity uint32, at sim.Time, pkt *Packet, hop int32) {
 	s := &q.sides[parity]
 	s.buf = append(s.buf, xev{at: at, pkt: pkt, hop: hop})
 	if at < s.qmin {
@@ -90,13 +90,12 @@ func (q *xqueue) push(parity uint32, at sim.Time, pkt *Packet, hop NodeID) {
 // before any traffic flows.
 type Fabric struct {
 	parts     []*Network
-	assign    []int // partition -> engine (shard) index
-	owner     map[NodeID]int32
-	topo      map[[2]NodeID]LinkConfig // directed global topology
-	xqs       map[[2]int32]*xqueue     // (src part, dst part) -> queue
-	xin       [][]*xqueue              // per partition: inbound queues, by src order
-	xoutOf    [][]*xqueue              // per partition: outbound queues, by dst order
-	allq      []*xqueue                // every queue, in (dst, src) order
+	assign    []int       // partition -> engine (shard) index
+	idx       *nodeIndex  // shared by every partition
+	owner     []int32     // dense node index -> partition
+	xqs       []*xqueue   // [src*parts+dst] handoff queue; nil = no cross link
+	xin       [][]*xqueue // per partition: inbound queues, by src order
+	xoutOf    [][]*xqueue // per partition: outbound queues, by dst order
 	lookahead sim.Time
 	ecmp      bool
 	frozen    bool
@@ -112,11 +111,9 @@ func NewFabric(engines []*sim.Engine, assign []int, root *sim.Rand) *Fabric {
 	}
 	f := &Fabric{
 		assign: append([]int(nil), assign...),
-		owner:  make(map[NodeID]int32),
-		topo:   make(map[[2]NodeID]LinkConfig),
-		xqs:    make(map[[2]int32]*xqueue),
+		idx:    &nodeIndex{},
+		xqs:    make([]*xqueue, len(assign)*len(assign)),
 	}
-	names := make(map[NodeID]string) // one name table spanning all partitions
 	for i, eng := range assign {
 		if eng < 0 || eng >= len(engines) {
 			panic(fmt.Sprintf("netsim: partition %d assigned to unknown engine %d", i, eng))
@@ -124,7 +121,7 @@ func NewFabric(engines []*sim.Engine, assign []int, root *sim.Rand) *Fabric {
 		n := New(engines[eng], root.Fork())
 		n.fab = f
 		n.pidx = int32(i)
-		n.names = names
+		n.idx = f.idx
 		n.ret[0] = make([][]*Packet, len(assign))
 		n.ret[1] = make([][]*Packet, len(assign))
 		// The write parity starts at 1: the first epoch's Begin flips to 0
@@ -144,19 +141,11 @@ func (f *Fabric) Parts() int { return len(f.parts) }
 // servers, sessions) land in that partition and on its engine.
 func (f *Fabric) Part(i int) *Network { return f.parts[i] }
 
-// Owner returns the partition a node was added to.
-func (f *Fabric) Owner(id NodeID) int { return int(f.owner[id]) }
-
-// addOwner records node ownership at AddNode time; the fabric-wide check
-// replaces the per-network duplicate check for cross-partition collisions.
-func (f *Fabric) addOwner(id NodeID, part int32, name string) {
+// checkMutable panics once the fabric is frozen.
+func (f *Fabric) checkMutable() {
 	if f.frozen {
 		panic("netsim: fabric is frozen; topology is immutable")
 	}
-	if p, dup := f.owner[id]; dup {
-		panic(fmt.Sprintf("netsim: duplicate node id %d (%s) across partitions %d and %d", id, name, p, part))
-	}
-	f.owner[id] = part
 }
 
 // Connect creates a bidirectional link between a and b with the same config
@@ -170,43 +159,30 @@ func (f *Fabric) Connect(a, b NodeID, cfg LinkConfig) {
 // ConnectAsym is Connect with direction-specific configs: ab governs a→b,
 // ba governs b→a — the fabric form of Network.ConnectAsym.
 func (f *Fabric) ConnectAsym(a, b NodeID, ab, ba LinkConfig) {
-	if f.frozen {
-		panic("netsim: fabric is frozen; topology is immutable")
-	}
+	f.checkMutable()
 	f.connectDirected(a, b, ab)
 	f.connectDirected(b, a, ba)
 }
 
 // SetECMP enables flow-hashed equal-cost multipath forwarding fabric-wide.
-// Call before Freeze; the multi-route table is built there and shared
+// Call before Freeze; the equal-cost link sets are built there and shared
 // read-only by every partition, exactly like the single-path table.
 func (f *Fabric) SetECMP(on bool) {
-	if f.frozen {
-		panic("netsim: fabric is frozen; topology is immutable")
-	}
+	f.checkMutable()
 	f.ecmp = on
 }
 
 func (f *Fabric) connectDirected(a, b NodeID, cfg LinkConfig) {
-	pa, ok := f.owner[a]
-	if !ok {
-		panic(fmt.Sprintf("netsim: connect: unknown node %d", a))
-	}
-	pb, ok := f.owner[b]
-	if !ok {
-		panic(fmt.Sprintf("netsim: connect: unknown node %d", b))
-	}
-	key := [2]NodeID{a, b}
-	f.topo[key] = cfg
-	src := f.parts[pa]
+	ia, ib := f.idx.mustLookup(a), f.idx.mustLookup(b)
+	pa, pb := f.owner[ia], f.owner[ib]
 	// The directed link — including any impairment RNG fork — lives in the
 	// SOURCE partition, so its draw stream is a function of that partition's
 	// build order alone, never of the shard count.
-	src.links[key] = src.newLink(a, b, cfg)
+	l := f.parts[pa].addLink(ia, ib, cfg)
 	if pa == pb {
 		return
 	}
-	qk := [2]int32{pa, pb}
+	qk := int(pa)*len(f.parts) + int(pb)
 	q := f.xqs[qk]
 	if q == nil {
 		q = &xqueue{src: pa, dst: pb}
@@ -214,13 +190,10 @@ func (f *Fabric) connectDirected(a, b NodeID, cfg LinkConfig) {
 		q.sides[1].qmin = xnever
 		f.xqs[qk] = q
 	}
-	if src.xout == nil {
-		src.xout = make(map[[2]NodeID]*xqueue)
-	}
-	src.xout[key] = q
+	l.xq = q
 }
 
-// Freeze computes the global route table (shared read-only by every
+// Freeze computes the global forwarding table (shared read-only by every
 // partition), the inbound queue lists, and the lookahead bound — the minimum
 // over cross-partition links of propagation delay plus the serialization
 // time of a minimum-size datagram, i.e. the least virtual time any
@@ -230,36 +203,32 @@ func (f *Fabric) Freeze() {
 		return
 	}
 	f.frozen = true
-	linkKeys := make([][2]NodeID, 0, len(f.topo))
-	for key := range f.topo {
-		linkKeys = append(linkKeys, key)
+	// Each node's outgoing links live in its owner partition.
+	nodes := len(f.idx.ids)
+	out := make([][]*link, nodes)
+	for i, p := range f.owner {
+		if links := f.parts[p].out; i < len(links) {
+			out[i] = links[i]
+		}
 	}
-	nodes := make([]NodeID, 0, len(f.owner))
-	for id := range f.owner {
-		nodes = append(nodes, id)
-	}
-	routes := buildRouteTable(linkKeys, nodes)
-	var multi map[NodeID]map[NodeID][]NodeID
-	if f.ecmp {
-		multi = buildMultiRouteTable(linkKeys, nodes)
-	}
+	fwd := buildFwd(out, f.ecmp)
 	for _, n := range f.parts {
-		n.routes = routes
-		n.ecmp = f.ecmp
-		n.multi = multi
+		n.fwd = fwd
+		n.nodes = growTo(n.nodes, nodes)
 	}
 
 	// Lookahead: every cross-partition arrival is scheduled at
 	// txStart + serialization(size) + PropDelay with size ≥ UDPOverhead,
 	// so min(serMin + PropDelay) over cross links bounds it from below.
 	f.lookahead = 0
-	for _, key := range linkKeys {
-		if f.owner[key[0]] == f.owner[key[1]] {
-			continue
-		}
-		l := linkLatency(f.topo[key])
-		if f.lookahead == 0 || l < f.lookahead {
-			f.lookahead = l
+	for _, links := range out {
+		for _, l := range links {
+			if l.xq == nil {
+				continue
+			}
+			if lat := linkLatency(l.cfg); f.lookahead == 0 || lat < f.lookahead {
+				f.lookahead = lat
+			}
 		}
 	}
 	if f.lookahead == 0 {
@@ -273,21 +242,13 @@ func (f *Fabric) Freeze() {
 
 	f.xin = make([][]*xqueue, len(f.parts))
 	f.xoutOf = make([][]*xqueue, len(f.parts))
-	qkeys := make([][2]int32, 0, len(f.xqs))
-	for qk := range f.xqs {
-		qkeys = append(qkeys, qk)
-	}
-	sort.Slice(qkeys, func(i, j int) bool {
-		if qkeys[i][1] != qkeys[j][1] {
-			return qkeys[i][1] < qkeys[j][1]
+	for dst := range f.parts {
+		for src := range f.parts {
+			if q := f.xqs[src*len(f.parts)+dst]; q != nil {
+				f.xin[dst] = append(f.xin[dst], q)
+				f.xoutOf[src] = append(f.xoutOf[src], q)
+			}
 		}
-		return qkeys[i][0] < qkeys[j][0]
-	})
-	for _, qk := range qkeys {
-		q := f.xqs[qk]
-		f.xin[qk[1]] = append(f.xin[qk[1]], q)
-		f.xoutOf[qk[0]] = append(f.xoutOf[qk[0]], q)
-		f.allq = append(f.allq, q)
 	}
 }
 
@@ -493,10 +454,19 @@ func (f *Fabric) Stats() Stats {
 
 // LinkQueueBytes reports the a→b egress queue depth wherever the link lives.
 func (f *Fabric) LinkQueueBytes(a, b NodeID) int {
-	return f.parts[f.owner[a]].LinkQueueBytes(a, b)
+	return f.partOf(a).LinkQueueBytes(a, b)
 }
 
 // LinkDrops reports a→b drop-tail losses wherever the link lives.
 func (f *Fabric) LinkDrops(a, b NodeID) uint64 {
-	return f.parts[f.owner[a]].LinkDrops(a, b)
+	return f.partOf(a).LinkDrops(a, b)
+}
+
+// partOf returns the partition owning node id (partition 0 for an unknown
+// id, whose link queries then report zero).
+func (f *Fabric) partOf(id NodeID) *Network {
+	if i := f.idx.lookup(id); i >= 0 {
+		return f.parts[f.owner[i]]
+	}
+	return f.parts[0]
 }

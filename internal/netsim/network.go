@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 
 	"pmnet/internal/sim"
 	"pmnet/internal/trace"
@@ -44,13 +43,18 @@ func DefaultLink() LinkConfig {
 }
 
 type link struct {
-	cfg      LinkConfig
-	from, to NodeID   // endpoints, for the queue-depth gauge
-	busyAt   sim.Time // when the transmitter frees up
-	queued   int      // bytes awaiting/under serialization
-	dropped  uint64   // drop-tail losses only (LinkDrops)
-	sent     uint64
-	imp      *linkImpair // nil unless cfg.Impair is set
+	cfg            LinkConfig
+	from, to       NodeID   // endpoints, for the queue-depth gauge and traces
+	fromIdx, toIdx int32    // the endpoints' dense indexes
+	busyAt         sim.Time // when the transmitter frees up
+	queued         int      // bytes awaiting/under serialization
+	dropped        uint64   // drop-tail losses only (LinkDrops)
+	sent           uint64
+	imp            *linkImpair // nil unless cfg.Impair is set
+	// xq is the cross-partition handoff queue when the far endpoint lives in
+	// another fabric partition; nil otherwise (always nil on a classic
+	// network).
+	xq *xqueue
 }
 
 // Stats aggregates network-wide counters.
@@ -73,16 +77,17 @@ type Stats struct {
 // copying Msg is fine — payload buffers are never pooled), and devices free
 // packets they sink. Packets built with &Packet{} bypass the pool entirely.
 type Network struct {
-	eng    *sim.Engine
-	rand   *sim.Rand
-	nodes  map[NodeID]Node
-	names  map[NodeID]string
-	links  map[[2]NodeID]*link
-	routes map[NodeID]map[NodeID]NodeID   // routes[at][dst] = next hop
-	ecmp   bool                           // flow-hash over equal-cost paths
-	multi  map[NodeID]map[NodeID][]NodeID // ECMP: all equal-cost next hops
-	down   map[NodeID]bool                // failed nodes drop all traffic
-	idSeq  uint64                         // packet-id counter (partition-tagged inside a fabric)
+	eng  *sim.Engine
+	rand *sim.Rand
+	idx  *nodeIndex // NodeID interning, shared by a fabric's partitions
+	// nodes and out are addressed by dense node index: the node's state in
+	// this network (zero for another partition's node) and the directed
+	// links this network owns out of it, in Connect order.
+	nodes  []nodeState
+	out    [][]*link
+	fwd    *fwdTable // nil until routes are computed; rebuilt after topology changes
+	ecmp   bool      // SetECMP: flow-hash over equal-cost paths (a fabric decides in Freeze)
+	idSeq  uint64    // packet-id counter (partition-tagged inside a fabric)
 	stats  Stats
 	tracer *trace.Tracer // nil = tracing off (the common, zero-cost case)
 
@@ -90,14 +95,12 @@ type Network struct {
 	// are untouched on the classic single-engine path). pidx is this
 	// partition's index; par is the current epoch's write parity (set by
 	// the fabric's Begin hook; starts at 1 so setup-time pushes land where
-	// the first epoch reads); xout routes directed links whose far endpoint
-	// lives in another partition to the cross-partition handoff queue;
-	// ret[par][p] collects packets freed here during the current epoch
-	// whose home pool is partition p, reclaimed by p at the next epoch.
+	// the first epoch reads); ret[par][p] collects packets freed here during
+	// the current epoch whose home pool is partition p, reclaimed by p at
+	// the next epoch.
 	fab   *Fabric
 	pidx  int32
 	par   uint32
-	xout  map[[2]NodeID]*xqueue
 	ret   [2][][]*Packet
 	xlive []*xqueue // drainInbound scratch (non-empty inbound queues)
 
@@ -109,6 +112,13 @@ type Network struct {
 	txs  []*txEnd
 	arrs []*arrival
 	dtxs []*delayedTx
+}
+
+// nodeState is one node's delivery-time state in a network. node is nil
+// when the node belongs to another fabric partition.
+type nodeState struct {
+	node Node
+	down bool // failed nodes drop all traffic
 }
 
 // txEnd is a pooled "serialization finished" event payload.
@@ -123,7 +133,7 @@ type txEnd struct {
 type arrival struct {
 	n   *Network
 	pkt *Packet
-	hop NodeID
+	hop int32 // dense index of the receiving node
 	fn  func()
 }
 
@@ -138,15 +148,7 @@ type delayedTx struct {
 // New creates an empty network on eng. rand drives random loss; pass any
 // seeded generator.
 func New(eng *sim.Engine, rand *sim.Rand) *Network {
-	return &Network{
-		eng:    eng,
-		rand:   rand,
-		nodes:  make(map[NodeID]Node),
-		names:  make(map[NodeID]string),
-		links:  make(map[[2]NodeID]*link),
-		routes: make(map[NodeID]map[NodeID]NodeID),
-		down:   make(map[NodeID]bool),
-	}
+	return &Network{eng: eng, rand: rand, idx: &nodeIndex{}}
 }
 
 // Engine returns the virtual clock driving this network.
@@ -165,24 +167,28 @@ func (n *Network) SetTracer(t *trace.Tracer) { n.tracer = t }
 // from here so one testbed wire-up covers every layer.
 func (n *Network) Tracer() *trace.Tracer { return n.tracer }
 
-// AddNode attaches a node under the given name. Adding two nodes with the
-// same ID is a topology bug and panics.
+// AddNode attaches a node under the given name. Node ids must lie in
+// [0, 2^20); an id out of that range, or two nodes with the same id, is a
+// topology bug and panics. Adding a node invalidates the route table, which
+// is rebuilt at the next Transmit.
 func (n *Network) AddNode(node Node, name string) {
 	id := node.ID()
-	if _, dup := n.nodes[id]; dup {
-		panic(fmt.Sprintf("netsim: duplicate node id %d (%s)", id, name))
-	}
 	if n.fab != nil {
-		n.fab.addOwner(id, n.pidx, name)
+		n.fab.checkMutable()
 	}
-	n.nodes[id] = node
-	n.names[id] = name
+	i := n.idx.add(id, name)
+	if n.fab != nil {
+		n.fab.owner = append(n.fab.owner, n.pidx)
+	}
+	n.nodes = growTo(n.nodes, int(i)+1)
+	n.nodes[i].node = node
+	n.fwd = nil
 }
 
 // Name returns the registered name of a node.
 func (n *Network) Name(id NodeID) string {
-	if s, ok := n.names[id]; ok {
-		return s
+	if i := n.idx.lookup(id); i >= 0 {
+		return n.idx.names[i]
 	}
 	return fmt.Sprintf("node-%d", id)
 }
@@ -200,31 +206,47 @@ func (n *Network) ConnectAsym(a, b NodeID, ab, ba LinkConfig) {
 	if n.fab != nil {
 		panic("netsim: partition networks are wired through Fabric.Connect")
 	}
-	if _, ok := n.nodes[a]; !ok {
-		panic(fmt.Sprintf("netsim: connect: unknown node %d", a))
-	}
-	if _, ok := n.nodes[b]; !ok {
-		panic(fmt.Sprintf("netsim: connect: unknown node %d", b))
-	}
-	n.links[[2]NodeID{a, b}] = n.newLink(a, b, ab)
-	n.links[[2]NodeID{b, a}] = n.newLink(b, a, ba)
-	n.routes = nil // invalidate; recomputed lazily
-	n.multi = nil
+	ia, ib := n.idx.mustLookup(a), n.idx.mustLookup(b)
+	n.addLink(ia, ib, ab)
+	n.addLink(ib, ia, ba)
+	n.fwd = nil // invalidate; recomputed lazily
 }
 
-// newLink builds one directed link, validating its config and forking the
-// impairment RNG (from this network's stream — the SOURCE partition's inside
-// a fabric) only when impairments are configured, so clean links leave the
-// historical draw sequence untouched.
-func (n *Network) newLink(from, to NodeID, cfg LinkConfig) *link {
+// addLink builds the directed from→to link (dense indexes) into this
+// network, replacing an earlier link between the same endpoints. It
+// validates the config and forks the impairment RNG (from this network's
+// stream — the SOURCE partition's inside a fabric) only when impairments are
+// configured, so clean links leave the historical draw sequence untouched.
+func (n *Network) addLink(from, to int32, cfg LinkConfig) *link {
+	a, b := n.idx.ids[from], n.idx.ids[to]
 	if err := cfg.Validate(); err != nil {
-		panic(fmt.Sprintf("netsim: connect %d->%d: %v", from, to, err))
+		panic(fmt.Sprintf("netsim: connect %d->%d: %v", a, b, err))
 	}
-	l := &link{cfg: cfg, from: from, to: to}
+	l := &link{cfg: cfg, from: a, to: b, fromIdx: from, toIdx: to}
 	if cfg.Impair.Enabled() {
 		l.imp = newLinkImpair(cfg.Impair, n.rand.Fork())
 	}
+	n.out = growTo(n.out, int(from)+1)
+	for i, old := range n.out[from] {
+		if old.toIdx == to {
+			n.out[from][i] = l
+			return l
+		}
+	}
+	n.out[from] = append(n.out[from], l)
 	return l
+}
+
+// linkTo returns the a→b link this network owns, or nil.
+func (n *Network) linkTo(a, b NodeID) *link {
+	if i := n.idx.lookup(a); i >= 0 && int(i) < len(n.out) {
+		for _, l := range n.out[i] {
+			if l.to == b {
+				return l
+			}
+		}
+	}
+	return nil
 }
 
 // SetECMP enables flow-hashed equal-cost multipath forwarding: where the
@@ -239,14 +261,14 @@ func (n *Network) SetECMP(on bool) {
 		panic("netsim: partition networks get ECMP from Fabric.SetECMP")
 	}
 	n.ecmp = on
-	n.routes = nil
-	n.multi = nil
+	n.fwd = nil
 }
 
-// computeRoutes runs BFS from every node to build next-hop tables.
-// Datacenter fabrics use flow-consistent (ECMP) load balancing; with our
-// tree/chain topologies there is a single shortest path, so plain BFS
-// reproduces in-order delivery within a flow (§IV-A4 footnote).
+// computeRoutes builds the dense forwarding table (fwd.go) over this
+// network's nodes and links. Datacenter fabrics use flow-consistent (ECMP)
+// load balancing; with our tree/chain topologies there is a single shortest
+// path, so plain BFS reproduces in-order delivery within a flow (§IV-A4
+// footnote).
 func (n *Network) computeRoutes() {
 	if n.fab != nil {
 		// Partition networks share the fabric-wide table installed by
@@ -254,150 +276,45 @@ func (n *Network) computeRoutes() {
 		// within a fragment of the topology.
 		panic("netsim: fabric not frozen before traffic")
 	}
-	linkKeys := make([][2]NodeID, 0, len(n.links))
-	for key := range n.links {
-		linkKeys = append(linkKeys, key)
-	}
-	srcs := make([]NodeID, 0, len(n.nodes))
-	for src := range n.nodes {
-		srcs = append(srcs, src)
-	}
-	n.routes = buildRouteTable(linkKeys, srcs)
-	if n.ecmp {
-		n.multi = buildMultiRouteTable(linkKeys, srcs)
-	}
-}
-
-// buildRouteTable is the shared BFS next-hop builder, used both by a classic
-// Network (over its own links and nodes) and by a Fabric (over the global
-// topology spanning every partition). Both inputs may arrive in map order:
-// they are sorted here, because neighbour order steers BFS parent choice
-// between equal-cost paths — adjacency lists built in map iteration order
-// could pick different next hops (and thus different delivery times) from
-// run to run on multipath topologies.
-func buildRouteTable(linkKeys [][2]NodeID, srcs []NodeID) map[NodeID]map[NodeID]NodeID {
-	routes := make(map[NodeID]map[NodeID]NodeID, len(srcs))
-	sort.Slice(linkKeys, func(i, j int) bool {
-		if linkKeys[i][0] != linkKeys[j][0] {
-			return linkKeys[i][0] < linkKeys[j][0]
-		}
-		return linkKeys[i][1] < linkKeys[j][1]
-	})
-	adj := make(map[NodeID][]NodeID)
-	for _, key := range linkKeys {
-		adj[key[0]] = append(adj[key[0]], key[1])
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	for _, src := range srcs {
-		// BFS from src, recording each node's parent; next hop from any
-		// node toward src is its parent on the BFS tree rooted at src.
-		parent := map[NodeID]NodeID{src: src}
-		order := []NodeID{src}
-		queue := []NodeID{src}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, nb := range adj[cur] {
-				if _, seen := parent[nb]; !seen {
-					parent[nb] = cur
-					order = append(order, nb)
-					queue = append(queue, nb)
-				}
-			}
-		}
-		// Walk the BFS discovery order, not the parent map.
-		for _, node := range order {
-			if node == src {
-				continue
-			}
-			if routes[node] == nil {
-				routes[node] = make(map[NodeID]NodeID)
-			}
-			routes[node][src] = parent[node]
-		}
-	}
-	return routes
-}
-
-// buildMultiRouteTable is the ECMP companion of buildRouteTable: for every
-// (node, dst) pair it records ALL neighbours one BFS level closer to dst, in
-// ascending neighbour order. The single-path table's next hop is always a
-// member, so enabling ECMP on a single-path topology changes nothing.
-func buildMultiRouteTable(linkKeys [][2]NodeID, srcs []NodeID) map[NodeID]map[NodeID][]NodeID {
-	sort.Slice(linkKeys, func(i, j int) bool {
-		if linkKeys[i][0] != linkKeys[j][0] {
-			return linkKeys[i][0] < linkKeys[j][0]
-		}
-		return linkKeys[i][1] < linkKeys[j][1]
-	})
-	adj := make(map[NodeID][]NodeID)
-	for _, key := range linkKeys {
-		adj[key[0]] = append(adj[key[0]], key[1])
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	multi := make(map[NodeID]map[NodeID][]NodeID, len(srcs))
-	for _, src := range srcs {
-		// BFS from src records hop distances; any neighbour one level closer
-		// is an equal-cost next hop toward src.
-		dist := map[NodeID]int{src: 0}
-		order := []NodeID{src}
-		queue := []NodeID{src}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, nb := range adj[cur] {
-				if _, seen := dist[nb]; !seen {
-					dist[nb] = dist[cur] + 1
-					order = append(order, nb)
-					queue = append(queue, nb)
-				}
-			}
-		}
-		for _, node := range order {
-			if node == src {
-				continue
-			}
-			var hops []NodeID
-			for _, nb := range adj[node] {
-				if d, ok := dist[nb]; ok && d == dist[node]-1 {
-					hops = append(hops, nb)
-				}
-			}
-			if multi[node] == nil {
-				multi[node] = make(map[NodeID][]NodeID)
-			}
-			multi[node][src] = hops
-		}
-	}
-	return multi
+	n.out = growTo(n.out, len(n.idx.ids))
+	n.fwd = buildFwd(n.out, n.ecmp)
 }
 
 // NextHop returns the neighbour to which `at` should forward traffic headed
-// for dst, and whether a route exists.
+// for dst on the single-path route, and whether a route exists.
 func (n *Network) NextHop(at, dst NodeID) (NodeID, bool) {
-	if n.routes == nil {
+	if n.fwd == nil {
 		n.computeRoutes()
 	}
-	hop, ok := n.routes[at][dst]
-	return hop, ok
+	ia, id := n.idx.lookup(at), n.idx.lookup(dst)
+	if ia < 0 || id < 0 {
+		return 0, false
+	}
+	if l := n.fwd.egress[int(ia)*n.fwd.n+int(id)]; l != nil {
+		return l.to, true
+	}
+	return 0, false
 }
 
-// nextHopFor picks the egress neighbour for pkt at `from`: the single-path
-// table normally, a flow-hashed choice among the equal-cost next hops under
-// ECMP. The hash covers (switch, From, To, ports), so one flow always takes
-// one path through a given switch — in-order delivery within a flow is
-// preserved (§IV-A4) while distinct flows spread across the fabric.
-func (n *Network) nextHopFor(from NodeID, pkt *Packet) (NodeID, bool) {
-	if n.routes == nil {
-		n.computeRoutes()
+// nextHopFor picks the egress link for pkt at `from` (dense index fi): the
+// single-path table normally, a flow-hashed choice among the equal-cost
+// links under ECMP. The hash covers (switch, From, To, ports), so one flow
+// always takes one path through a given switch — in-order delivery within a
+// flow is preserved (§IV-A4) while distinct flows spread across the fabric.
+// nil means no route.
+func (n *Network) nextHopFor(fi int32, from NodeID, pkt *Packet) *link {
+	ti := n.idx.lookup(pkt.To)
+	if ti < 0 {
+		return nil
 	}
-	if n.multi != nil {
-		if hops := n.multi[from][pkt.To]; len(hops) > 1 {
-			return hops[ecmpFlowHash(from, pkt)%uint64(len(hops))], true
+	t := n.fwd
+	p := int(fi)*t.n + int(ti)
+	if t.ecmpOff != nil {
+		if set := t.ecmpLinks[t.ecmpOff[p]:t.ecmpOff[p+1]]; len(set) > 1 {
+			return set[ecmpFlowHash(from, pkt)%uint64(len(set))]
 		}
 	}
-	hop, ok := n.routes[from][pkt.To]
-	return hop, ok
+	return t.egress[p]
 }
 
 // ecmpFlowHash mixes the flow identity with the hashing switch's id through
@@ -415,13 +332,23 @@ func ecmpFlowHash(at NodeID, pkt *Packet) uint64 {
 }
 
 // SetNodeDown marks a node failed (true) or restored (false). Failed nodes
-// silently drop every packet addressed to or traversing them.
+// silently drop every packet addressed to or traversing them. The node must
+// have been added.
 func (n *Network) SetNodeDown(id NodeID, down bool) {
-	n.down[id] = down
+	i := n.idx.lookup(id)
+	if i < 0 {
+		panic(fmt.Sprintf("netsim: SetNodeDown: unknown node %d", id))
+	}
+	// A partition learns of other partitions' nodes only at Freeze.
+	n.nodes = growTo(n.nodes, int(i)+1)
+	n.nodes[i].down = down
 }
 
 // NodeDown reports whether the node is currently failed.
-func (n *Network) NodeDown(id NodeID) bool { return n.down[id] }
+func (n *Network) NodeDown(id NodeID) bool {
+	i := n.idx.lookup(id)
+	return i >= 0 && int(i) < len(n.nodes) && n.nodes[i].down
+}
 
 // NewPacketID mints a unique packet identity. Inside a fabric the id carries
 // the partition index in its high bits over a per-partition counter: ids stay
@@ -500,7 +427,7 @@ func (n *Network) finishTx(t *txEnd) {
 	n.txs = append(n.txs, t)
 }
 
-func (n *Network) getArrival(pkt *Packet, hop NodeID) *arrival {
+func (n *Network) getArrival(pkt *Packet, hop int32) *arrival {
 	var a *arrival
 	if k := len(n.arrs) - 1; k >= 0 {
 		a = n.arrs[k]
@@ -549,28 +476,27 @@ func (n *Network) fireDelayedTx(t *delayedTx) {
 // Transmit moves pkt one hop from `from` toward pkt.To, modelling the
 // egress link. Delivery invokes the next node's HandlePacket on the virtual
 // clock. Lost packets vanish (UDP semantics); recovery is the protocol
-// library's job.
+// library's job. A sender that is down, unknown, or owned by another fabric
+// partition drops the packet as DroppedDead.
 func (n *Network) Transmit(pkt *Packet, from NodeID) {
 	if pkt.ID == 0 {
 		pkt.ID = n.NewPacketID()
 	}
-	if n.down[from] {
+	if n.fwd == nil {
+		n.computeRoutes()
+	}
+	fi := n.idx.lookup(from)
+	if fi < 0 || n.nodes[fi].node == nil || n.nodes[fi].down {
 		n.stats.DroppedDead++
 		n.dropPacket(pkt, from, trace.DropDead)
 		return
 	}
 	if from == pkt.To {
 		// Local delivery (loopback), e.g. a host talking to itself.
-		n.deliver(pkt, from)
+		n.deliver(pkt, fi)
 		return
 	}
-	hop, ok := n.nextHopFor(from, pkt)
-	if !ok {
-		n.stats.DroppedDead++
-		n.dropPacket(pkt, from, trace.DropDead)
-		return
-	}
-	l := n.links[[2]NodeID{from, hop}]
+	l := n.nextHopFor(fi, from, pkt)
 	if l == nil {
 		n.stats.DroppedDead++
 		n.dropPacket(pkt, from, trace.DropDead)
@@ -587,19 +513,19 @@ func (n *Network) Transmit(pkt *Packet, from NodeID) {
 			dup = n.dupPacket(pkt)
 		}
 	}
-	n.sendOnLink(l, pkt, from, hop)
+	n.sendOnLink(l, pkt)
 	if dup != nil {
 		n.stats.Duplicated++
-		n.sendOnLink(l, dup, from, hop)
+		n.sendOnLink(l, dup)
 	}
 }
 
-// sendOnLink runs one packet through the from→hop link: drop-tail admission,
+// sendOnLink runs one packet through link l: drop-tail admission,
 // legacy random loss, (optionally rate-shaped) serialization, then the
 // arrival hand-off. The draw order on n.rand is exactly the historical
 // Transmit sequence — the impairment models draw only from the link's own
 // forked stream — so pre-impairment configurations keep their golden bytes.
-func (n *Network) sendOnLink(l *link, pkt *Packet, from, hop NodeID) {
+func (n *Network) sendOnLink(l *link, pkt *Packet) {
 	size := pkt.Size()
 	// Drop-tail admission: a full queue drops the tail, but the head packet
 	// is always admitted — when nothing is queued or in service the packet
@@ -608,12 +534,12 @@ func (n *Network) sendOnLink(l *link, pkt *Packet, from, hop NodeID) {
 	if l.cfg.QueueBytes > 0 && l.queued > 0 && l.queued+size > l.cfg.QueueBytes {
 		l.dropped++
 		n.stats.DroppedFull++
-		n.dropPacket(pkt, from, trace.DropFull)
+		n.dropPacket(pkt, l.from, trace.DropFull)
 		return
 	}
 	if l.cfg.LossRate > 0 && n.rand.Float64() < l.cfg.LossRate {
 		n.stats.DroppedRand++
-		n.dropPacket(pkt, from, trace.DropRand)
+		n.dropPacket(pkt, l.from, trace.DropRand)
 		return
 	}
 	var ser sim.Time
@@ -635,7 +561,7 @@ func (n *Network) sendOnLink(l *link, pkt *Packet, from, hop NodeID) {
 	txDone := l.busyAt
 	l.sent++
 	if n.tracer != nil {
-		n.tracer.Emit(trace.GaugeLinkQueue, trace.LinkID(uint64(from), uint64(hop)), uint64(l.queued), 0)
+		n.tracer.Emit(trace.GaugeLinkQueue, trace.LinkID(uint64(l.from), uint64(l.to)), uint64(l.queued), 0)
 	}
 	n.eng.At(txDone, n.getTxEnd(l, size).fn)
 	arriveAt := txDone + l.cfg.PropDelay
@@ -644,20 +570,17 @@ func (n *Network) sendOnLink(l *link, pkt *Packet, from, hop NodeID) {
 		// now + serialization + PropDelay — the fabric lookahead bound.
 		arriveAt += im.extraDelay()
 	}
-	if n.xout != nil {
-		if x := n.xout[[2]NodeID{from, hop}]; x != nil {
-			// The next hop lives in another partition: hand the packet off
-			// through the cross-partition queue (current write parity)
-			// instead of scheduling the arrival locally. The receiving
-			// partition injects it at the next epoch — always ≥ lookahead
-			// away, because arriveAt ≥ now + serialization + PropDelay and
-			// the fabric lookahead is the minimum of that sum over cross
-			// links.
-			x.push(n.par, arriveAt, pkt, hop)
-			return
-		}
+	if l.xq != nil {
+		// The next hop lives in another partition: hand the packet off
+		// through the cross-partition queue (current write parity) instead
+		// of scheduling the arrival locally. The receiving partition injects
+		// it at the next epoch — always ≥ lookahead away, because arriveAt ≥
+		// now + serialization + PropDelay and the fabric lookahead is the
+		// minimum of that sum over cross links.
+		l.xq.push(n.par, arriveAt, pkt, l.toIdx)
+		return
 	}
-	n.eng.At(arriveAt, n.getArrival(pkt, hop).fn)
+	n.eng.At(arriveAt, n.getArrival(pkt, l.toIdx).fn)
 }
 
 // dupPacket mints a pool-owned copy of p for link-level duplication with its
@@ -686,28 +609,25 @@ func (n *Network) dropPacket(pkt *Packet, at NodeID, reason uint64) {
 	n.FreePacket(pkt)
 }
 
-func (n *Network) deliver(pkt *Packet, at NodeID) {
-	if n.down[at] {
+// deliver hands pkt to the node with dense index at, which is local to this
+// network (it is a link's far end, or the sender itself on loopback).
+func (n *Network) deliver(pkt *Packet, at int32) {
+	st := &n.nodes[at]
+	if st.down || st.node == nil {
 		n.stats.DroppedDead++
-		n.dropPacket(pkt, at, trace.DropDead)
+		n.dropPacket(pkt, n.idx.ids[at], trace.DropDead)
 		return
 	}
-	node, ok := n.nodes[at]
-	if !ok {
-		n.stats.DroppedDead++
-		n.dropPacket(pkt, at, trace.DropDead)
-		return
-	}
-	if at == pkt.To {
+	if n.idx.ids[at] == pkt.To {
 		n.stats.Delivered++
 	}
-	node.HandlePacket(pkt)
+	st.node.HandlePacket(pkt)
 }
 
 // LinkQueueBytes reports the bytes currently queued on the a→b link; useful
 // in tests and for the Fig. 16 saturation experiment.
 func (n *Network) LinkQueueBytes(a, b NodeID) int {
-	if l := n.links[[2]NodeID{a, b}]; l != nil {
+	if l := n.linkTo(a, b); l != nil {
 		return l.queued
 	}
 	return 0
@@ -715,7 +635,7 @@ func (n *Network) LinkQueueBytes(a, b NodeID) int {
 
 // LinkDrops reports drop-tail losses on the a→b link.
 func (n *Network) LinkDrops(a, b NodeID) uint64 {
-	if l := n.links[[2]NodeID{a, b}]; l != nil {
+	if l := n.linkTo(a, b); l != nil {
 		return l.dropped
 	}
 	return 0

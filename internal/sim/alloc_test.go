@@ -72,9 +72,8 @@ func BenchmarkEngineScheduleWheel(b *testing.B) {
 
 // BenchmarkCancel measures the schedule→cancel cycle that client retry
 // timers pay on nearly every response: each iteration arms one timer a full
-// timeout ahead and cancels it. Lazy deletion makes the cancel itself O(1);
-// the sweep and compaction costs show up here too, because the standing
-// population forces periodic dead-node reclamation.
+// timeout ahead and cancels it. The cancel unlinks the node from its slot
+// list and recycles it at once, so the standing population never grows.
 func BenchmarkCancel(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}

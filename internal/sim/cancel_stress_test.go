@@ -108,9 +108,10 @@ func TestCancelStormAcrossWindows(t *testing.T) {
 // delays aimed at the timer wheel's hazardous edges: level-rollover
 // boundaries (where a pop cascades a whole slot down a level) and the
 // overflow horizon (where far-future events sit in the sorted overflow list
-// until the wheel turns into their segment and promotes them). Cancelled
-// nodes parked exactly on those edges exercise lazy deletion during cascade
-// and during overflow promotion; runs under -race via `make race`/CI.
+// until the wheel turns into their segment and promotes them). Cancelling
+// nodes parked exactly on those edges exercises unlinking from slots about
+// to cascade and from the overflow list; runs under -race via `make
+// race`/CI.
 func TestCancelStormBoundaries(t *testing.T) {
 	// One delay generator per hazard zone; each is stormed separately so a
 	// failure names the boundary it broke on.
@@ -256,5 +257,217 @@ func TestCancelStormAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, round); got != 0 {
 		t.Errorf("cancel storm allocated %.1f objects per round, want 0", got)
+	}
+}
+
+// diffRef is the sorted reference scheduler for TestSchedulerDifferential:
+// pending entries kept sorted by (at, seq), so its head is by construction
+// the next event the engine must fire.
+type diffRef struct {
+	pending []*diffHandle
+	seq     uint64
+}
+
+// diffHandle tracks one scheduled event on both sides.
+type diffHandle struct {
+	id    int
+	at    Time
+	seq   uint64
+	ev    Event
+	state int // diffPending, diffFired or diffCancelled
+}
+
+const (
+	diffPending = iota
+	diffFired
+	diffCancelled
+)
+
+func (r *diffRef) less(a, b *diffHandle) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+func (r *diffRef) insert(h *diffHandle) {
+	h.seq = r.seq
+	r.seq++
+	i := len(r.pending)
+	for i > 0 && r.less(h, r.pending[i-1]) {
+		i--
+	}
+	r.pending = append(r.pending, nil)
+	copy(r.pending[i+1:], r.pending[i:])
+	r.pending[i] = h
+}
+
+func (r *diffRef) remove(h *diffHandle) {
+	for i, p := range r.pending {
+		if p == h {
+			r.pending = append(r.pending[:i], r.pending[i+1:]...)
+			return
+		}
+	}
+	panic("diffRef: removing an entry that is not pending")
+}
+
+// TestSchedulerDifferential drives seeded interleavings of At/After at every
+// wheel level and in the overflow list, Cancel (from outside and from inside
+// callbacks, double cancels, stale handles to recycled nodes), Step and
+// RunUntil with deadlines inside level ≥ 1 slots, and checks the engine in
+// lockstep against a sorted reference: every firing must be the reference's
+// head at the reference's time, and after every operation Pending, NextTime,
+// the clock and every handle's Cancelled must match.
+func TestSchedulerDifferential(t *testing.T) {
+	// One delay per wheel level plus two overflow distances (> 68.7 s).
+	delayUpTo := func(r *Rand, levels int) Time {
+		lvl := r.Intn(levels)
+		switch {
+		case lvl == 0:
+			return Time(r.Intn(wheelSlots))
+		case lvl < wheelLevels:
+			lo := Time(1) << (wheelBits * lvl)
+			return lo + Time(r.Uint64()%uint64(lo*(wheelSlots-1)))
+		case lvl == wheelLevels:
+			return wheelSpan + Time(r.Uint64()%uint64(wheelSpan))
+		default:
+			return wheelSpan*Time(2+r.Intn(3)) + Time(r.Intn(wheelSlots))
+		}
+	}
+	delay := func(r *Rand) Time { return delayUpTo(r, wheelLevels+2) }
+	for seed := uint64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			// NewRand streams of nearby seeds are shifts of one another;
+			// spacing the seeds far apart keeps the interleavings distinct.
+			r := NewRand(seed << 40)
+			e := NewEngine()
+			ref := &diffRef{}
+			var all []*diffHandle
+			// lastCancel maps a node to the handle that last cancelled it:
+			// Cancelled() is true exactly for that handle's generation.
+			lastCancel := map[*node]*diffHandle{}
+			fired := 0
+
+			var schedule func(d Time) *diffHandle
+			cancel := func(h *diffHandle) {
+				h.ev.Cancel()
+				if h.state == diffPending {
+					h.state = diffCancelled
+					ref.remove(h)
+					lastCancel[h.ev.n] = h
+				}
+			}
+			// pick mostly targets pending events, otherwise any handle ever
+			// issued (fired, cancelled, or stale on a recycled node).
+			pick := func() *diffHandle {
+				if len(ref.pending) > 0 && r.Intn(3) > 0 {
+					return ref.pending[r.Intn(len(ref.pending))]
+				}
+				if len(all) == 0 {
+					return nil
+				}
+				return all[r.Intn(len(all))]
+			}
+			schedule = func(d Time) *diffHandle {
+				h := &diffHandle{id: len(all), at: e.Now() + d}
+				h.ev = e.At(h.at, func() {
+					if len(ref.pending) == 0 || ref.pending[0] != h {
+						t.Fatalf("engine fired event %d at %v; reference head is %v", h.id, e.Now(), ref.pending)
+					}
+					if e.Now() != h.at {
+						t.Fatalf("event %d fired at %v, scheduled for %v", h.id, e.Now(), h.at)
+					}
+					ref.pending = ref.pending[1:]
+					h.state = diffFired
+					fired++
+					// Act from inside the callback: cancel own (already
+					// fired) handle, cancel or double-cancel others,
+					// schedule follow-ups.
+					switch r.Intn(5) {
+					case 0:
+						cancel(h)
+					case 1:
+						if o := pick(); o != nil {
+							cancel(o)
+							cancel(o)
+						}
+					case 2, 3:
+						schedule(delay(r))
+					}
+				})
+				ref.insert(h)
+				all = append(all, h)
+				return h
+			}
+			check := func(op string) {
+				t.Helper()
+				if got, want := e.Pending(), len(ref.pending); got != want {
+					t.Fatalf("after %s: Pending = %d, reference %d", op, got, want)
+				}
+				nt, ok := e.NextTime()
+				if len(ref.pending) == 0 {
+					if ok {
+						t.Fatalf("after %s: NextTime = %v on an empty reference", op, nt)
+					}
+				} else if !ok || nt != ref.pending[0].at {
+					t.Fatalf("after %s: NextTime = %v,%v, reference %v", op, nt, ok, ref.pending[0].at)
+				}
+				for _, h := range all {
+					want := h.state == diffCancelled && lastCancel[h.ev.n] == h
+					if got := h.ev.Cancelled(); got != want {
+						t.Fatalf("after %s: event %d (state %d) Cancelled = %v, want %v", op, h.id, h.state, got, want)
+					}
+				}
+			}
+
+			for step := 0; step < 1500; step++ {
+				switch op := r.Intn(10); {
+				case op < 5:
+					schedule(delay(r))
+					check("At")
+				case op < 7:
+					if h := pick(); h != nil {
+						cancel(h) // pending, fired (stale, possibly recycled) or cancelled
+						check("Cancel")
+					}
+				case op == 7:
+					before := fired
+					ran := e.Step()
+					if ran != (fired == before+1) {
+						t.Fatalf("Step reported %v but fired %d events", ran, fired-before)
+					}
+					check("Step")
+				default:
+					// A deadline a short distance ahead, usually landing
+					// inside a level ≥ 1 slot; sometimes just short of or at
+					// the next event, sometimes far enough to drain.
+					var deadline Time
+					nt, ok := e.NextTime()
+					switch k := r.Intn(8); {
+					case ok && k < 2:
+						deadline = nt - Time(r.Intn(2))
+					case k == 2:
+						deadline = e.Now() + delay(r)
+					default:
+						deadline = e.Now() + delayUpTo(r, 4)
+					}
+					deadline = max(deadline, e.Now())
+					e.RunUntil(deadline)
+					if len(ref.pending) > 0 && ref.pending[0].at <= deadline {
+						t.Fatalf("RunUntil(%v) left event %d at %v pending", deadline, ref.pending[0].id, ref.pending[0].at)
+					}
+					if e.Now() != deadline {
+						t.Fatalf("clock = %v after RunUntil(%v)", e.Now(), deadline)
+					}
+					check("RunUntil")
+				}
+			}
+			e.Run()
+			check("Run")
+			if len(ref.pending) != 0 {
+				t.Fatalf("Run left %d reference events pending", len(ref.pending))
+			}
+			if fired == 0 {
+				t.Fatal("nothing fired")
+			}
+		})
 	}
 }

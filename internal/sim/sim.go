@@ -59,34 +59,32 @@ const (
 	topShift    = wheelBits * wheelLevels
 )
 
-// compactMin is the dead-node floor below which Cancel never triggers a
-// compaction sweep; above it, a sweep runs whenever dead nodes outnumber
-// live nodes by more than an eighth, keeping the pool footprint within ~12%
-// of the live population at O(1) amortized sweep cost per cancel.
-const compactMin = 16
+// Node locations beyond the wheel levels 0..wheelLevels-1.
+const (
+	ovLevel  = wheelLevels // in the sorted overflow list
+	unqueued = 0xff        // free, or popped and about to fire
+)
 
 // node is one pooled event record, linked intrusively into a wheel slot's
-// FIFO list (or held in the sorted overflow list). Nodes are recycled
-// through the engine's free list when they fire or are swept after a lazy
-// cancel.
+// doubly linked FIFO list (or held in the sorted overflow list). Nodes are
+// recycled through the engine's free list when they fire or are cancelled.
 type node struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	next *node   // intrusive slot-list link
-	eng  *Engine // owner, so Event.Cancel can reach the counters
+	at         Time
+	seq        uint64
+	fn         func()
+	next, prev *node   // intrusive slot-list links
+	eng        *Engine // owner, so Event.Cancel can reach the wheel
 	// gen is bumped every time the node is recycled; an Event handle captures
 	// the gen it was issued under, so handles to already-fired (and possibly
 	// reused) nodes become inert instead of cancelling a stranger's event.
 	gen uint64
 	// cancelGen records the handle generation that cancelled this node
-	// (noCancel otherwise), which lets exactly that handle observe
-	// Cancelled() == true even after the node is reused.
+	// (noCancel otherwise), which lets that handle observe Cancelled() == true
+	// after the node is reused — until a later handle to it cancels again.
 	cancelGen uint64
-	// queued is true while the node sits in the wheel or overflow list;
-	// dead marks a lazily cancelled node awaiting unlink (still queued).
-	queued bool
-	dead   bool
+	// lvl is the wheel level holding the node (ovLevel in the overflow list,
+	// unqueued otherwise) and slot its slot there, so Cancel can unlink it.
+	lvl, slot uint8
 }
 
 // Event is a handle to a scheduled callback. Events with equal times run in
@@ -100,26 +98,25 @@ type Event struct {
 	at  Time
 }
 
-// Cancel prevents a pending event from running. Cancellation is lazy and
-// O(1): the node is marked dead in place (it immediately stops counting
-// toward Pending and is invisible to NextTime) and is unlinked later — when
-// the wheel reaches it, or by a compaction sweep once dead nodes outnumber
-// live ones. Cancelling an event that has already fired — even if its pooled
-// node has since been reused — is a no-op.
+// Cancel prevents a pending event from running. Cancellation is eager and
+// O(1) in the wheel: the node is unlinked from its slot list and recycled at
+// once (an overflow-list node is cut out of the sorted slice). Cancelling an
+// event that has already fired or been cancelled — even if its pooled node
+// has since been reused — is a no-op.
 func (ev Event) Cancel() {
 	n := ev.n
-	if n == nil || n.gen != ev.gen || !n.queued || n.dead {
+	if n == nil || n.gen != ev.gen || n.lvl == unqueued {
 		return
 	}
 	e := n.eng
-	n.dead = true
-	n.fn = nil
+	if n.lvl == ovLevel {
+		e.ovRemove(n)
+	} else {
+		e.unlink(n)
+	}
 	n.cancelGen = ev.gen
 	e.live--
-	e.dead++
-	if e.dead > compactMin && e.dead*8 > e.live {
-		e.compact()
-	}
+	e.release(n)
 }
 
 // Cancelled reports whether this event was cancelled before running.
@@ -129,8 +126,8 @@ func (ev Event) Cancelled() bool { return ev.n != nil && ev.n.cancelGen == ev.ge
 func (ev Event) Time() Time { return ev.at }
 
 // slotList is one wheel slot's FIFO of nodes (append at tail, consume at
-// head). Within a level-0 slot all nodes share the same `at`, so FIFO order
-// is exactly (at, seq) order.
+// head, unlink anywhere). Within a level-0 slot all nodes share the same
+// `at`, so FIFO order is exactly (at, seq) order.
 type slotList struct {
 	head, tail *node
 }
@@ -141,13 +138,13 @@ type Engine struct {
 	now Time
 	// base is the wheel's reference time. Invariants: base never decreases,
 	// base ≤ now whenever the engine is between events (base only advances
-	// in popNext, to the slot start of the event about to fire), and every
+	// in a cascade, to the start of a slot that opens at or before the run's
+	// deadline, and the clock reaches at least that deadline), and every
 	// node in the wheel has at ≥ base. Together these guarantee At(t ≥ now)
 	// always places at or above base — no "past the wheel" case exists.
 	base    Time
 	seq     uint64
-	live    int // queued, not cancelled
-	dead    int // queued, lazily cancelled, awaiting unlink
+	live    int // queued events
 	stopped bool
 	ran     uint64
 	slots   [wheelLevels][wheelSlots]slotList
@@ -180,18 +177,33 @@ func (e *Engine) Now() Time { return e.now }
 // EventsRun returns the number of events executed so far.
 func (e *Engine) EventsRun() uint64 { return e.ran }
 
-// Pending returns the number of live events still queued. Lazily cancelled
-// nodes awaiting unlink are not counted.
+// Pending returns the number of events still queued.
 func (e *Engine) Pending() int { return e.live }
 
-// NextTime returns the virtual time of the earliest live pending event, or
-// false when the queue is empty. Lazily cancelled nodes are skipped — a
-// cancelled head never shows through. The conservative PDES runner
-// (internal/sim/pdes) peeks every shard's next event at each barrier to pick
-// the epoch window; the peek must not disturb the event order (it frees dead
-// nodes it walks over, but never moves a live node or advances the wheel).
+// NextTime returns the virtual time of the earliest pending event, or false
+// when the queue is empty. The conservative PDES runner (internal/sim/pdes)
+// peeks every shard's next event at each barrier to pick the epoch window;
+// the peek never moves a node or advances the wheel, so it cannot disturb
+// the event order.
 func (e *Engine) NextTime() (Time, bool) {
-	return e.peekTime()
+	for lvl := 0; lvl < wheelLevels; lvl++ {
+		if e.occ[lvl] == 0 {
+			continue
+		}
+		// The lowest occupied slot of the lowest occupied level holds the
+		// earliest pending node; at level ≥ 1 the slot list is unsorted, so
+		// scan it for the minimum time.
+		l := &e.slots[lvl][bits.TrailingZeros64(e.occ[lvl])]
+		best := l.head.at
+		for n := l.head.next; n != nil; n = n.next {
+			best = min(best, n.at)
+		}
+		return best, true
+	}
+	if e.ovOff < len(e.ov) {
+		return e.ov[e.ovOff].at, true
+	}
+	return 0, false
 }
 
 // get pops a recycled node. The free list must not be empty: At refills it
@@ -211,19 +223,19 @@ func (e *Engine) grow() {
 	for i := range slab {
 		slab[i].eng = e
 		slab[i].cancelGen = noCancel
+		slab[i].lvl = unqueued
 		e.free = append(e.free, &slab[i])
 	}
 	e.pooled += size
 }
 
-// release returns a node to the free list. Bumping gen first makes every
-// outstanding handle to it inert.
+// release returns an unlinked node to the free list. Bumping gen first makes
+// every outstanding handle to it inert.
 func (e *Engine) release(n *node) {
 	n.gen++
 	n.fn = nil
-	n.next = nil
-	n.queued = false
-	n.dead = false
+	n.next, n.prev = nil, nil
+	n.lvl = unqueued
 	e.free = append(e.free, n)
 }
 
@@ -240,7 +252,6 @@ func (e *Engine) At(t Time, fn func()) Event {
 	n.at = t
 	n.seq = e.seq
 	n.fn = fn
-	n.queued = true
 	e.seq++
 	e.live++
 	e.place(n)
@@ -270,17 +281,11 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for !e.stopped {
-		t, ok := e.peekTime()
-		if !ok {
+		n := e.popUntil(deadline)
+		if n == nil {
 			break
 		}
-		if t > deadline {
-			if e.now < deadline {
-				e.now = deadline
-			}
-			return
-		}
-		e.fire(e.popNext())
+		e.fire(n)
 	}
 	if !e.stopped && e.now < deadline && deadline < Time(math.MaxInt64) {
 		e.now = deadline
@@ -288,9 +293,9 @@ func (e *Engine) RunUntil(deadline Time) {
 }
 
 // Step executes exactly one pending event and reports whether one ran. It
-// shares popNext/fire with RunUntil so the two paths cannot diverge.
+// shares popUntil/fire with RunUntil so the two paths cannot diverge.
 func (e *Engine) Step() bool {
-	n := e.popNext()
+	n := e.popUntil(Time(math.MaxInt64))
 	if n == nil {
 		return false
 	}
@@ -324,16 +329,21 @@ func (e *Engine) fire(n *node) {
 // earliest pending node is always in the lowest occupied slot of the lowest
 // occupied level; no ring wraparound exists to reason about.
 //
+// Placement is canonical: a cascade only rewrites base digits at and below
+// the cascaded level, and every other node differs from base above them, so
+// each node always sits where place would put it against the current base.
+// Equal-`at` nodes therefore always share one list, whenever cascades
+// happen — which is what lets the run loop cascade toward a deadline
+// without first finding the exact minimum.
+//
 // FIFO exactness: level-0 slots are 1 ns wide, so equal-`at` nodes meet in
 // one level-0 list. Direct inserts append in seq order (seq is monotone);
 // cascades detach a whole higher-level list and re-place it preserving
-// relative order; and a direct level-0 insert can never interleave ahead of
-// an equal-`at` node still sitting at a higher level, because after every
-// cascade all remaining level ≥ 1 nodes differ from base above bit
-// wheelBits — they cannot share an `at` with any level-0-placeable time.
+// relative order into lower levels that are empty at that moment, so the
+// re-placed nodes precede every later direct insert.
 
-// place links a queued node into the wheel (or the sorted overflow list).
-// The caller has set at/seq/queued; dead nodes are never placed.
+// place links a node into the wheel (or the sorted overflow list). The
+// caller has set at and seq.
 func (e *Engine) place(n *node) {
 	d := uint64(n.at ^ e.base)
 	var lvl int
@@ -346,7 +356,9 @@ func (e *Engine) place(n *node) {
 	}
 	slot := int(uint64(n.at)>>(wheelBits*lvl)) & wheelMask
 	l := &e.slots[lvl][slot]
+	n.lvl, n.slot = uint8(lvl), uint8(slot)
 	n.next = nil
+	n.prev = l.tail
 	if l.tail == nil {
 		l.head = n
 	} else {
@@ -356,107 +368,90 @@ func (e *Engine) place(n *node) {
 	e.occ[lvl] |= 1 << uint(slot)
 }
 
-// ovInsert binary-inserts a node into the overflow list, keeping it sorted
-// by (at, seq). Far-future scheduling is rare and usually in increasing time
-// order, so the insert almost always appends.
-func (e *Engine) ovInsert(n *node) {
+// unlink removes a wheel node from its slot list in O(1), clearing the
+// slot's occupancy bit when the list empties.
+func (e *Engine) unlink(n *node) {
+	l := &e.slots[n.lvl][n.slot]
+	if n.prev == nil {
+		l.head = n.next
+	} else {
+		n.prev.next = n.next
+	}
+	if n.next == nil {
+		l.tail = n.prev
+	} else {
+		n.next.prev = n.prev
+	}
+	if l.head == nil {
+		e.occ[n.lvl] &^= 1 << n.slot
+	}
+}
+
+// ovLess orders overflow nodes by (at, seq).
+func ovLess(a, b *node) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// ovSearch returns the offset in the live overflow tail of the first node
+// not ordered before n.
+func (e *Engine) ovSearch(n *node) int {
 	liveTail := e.ov[e.ovOff:]
 	lo, hi := 0, len(liveTail)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		m := liveTail[mid]
-		if m.at < n.at || (m.at == n.at && m.seq < n.seq) {
+		if ovLess(liveTail[mid], n) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	e.ov = append(e.ov, nil)
-	at := e.ovOff + lo
-	copy(e.ov[at+1:], e.ov[at:])
-	e.ov[at] = n
+	return e.ovOff + lo
 }
 
-// peekTime returns the earliest live pending time. It frees dead nodes it
-// walks over (front-of-slot and overflow-front) but never moves a live node
-// or advances base, so peeking cannot perturb event order.
-func (e *Engine) peekTime() (Time, bool) {
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		for e.occ[lvl] != 0 {
-			slot := bits.TrailingZeros64(e.occ[lvl])
-			l := &e.slots[lvl][slot]
-			for l.head != nil && l.head.dead {
-				n := l.head
-				l.head = n.next
-				e.dead--
-				e.release(n)
-			}
-			if l.head == nil {
-				l.tail = nil
-				e.occ[lvl] &^= 1 << uint(slot)
-				continue
-			}
-			// The lowest occupied slot of the lowest occupied level holds the
-			// earliest pending node; at level ≥ 1 the slot list is unsorted,
-			// so scan it for the minimum live time.
-			best := l.head.at
-			if lvl > 0 {
-				for n := l.head.next; n != nil; n = n.next {
-					if !n.dead && n.at < best {
-						best = n.at
-					}
-				}
-			}
-			return best, true
-		}
-	}
-	for e.ovOff < len(e.ov) {
-		n := e.ov[e.ovOff]
-		if !n.dead {
-			return n.at, true
-		}
-		e.ov[e.ovOff] = nil
-		e.ovOff++
-		e.dead--
-		e.release(n)
-	}
-	if e.ovOff > 0 {
+// ovInsert binary-inserts a node into the overflow list, keeping it sorted
+// by (at, seq). Far-future scheduling is rare and usually in increasing time
+// order, so the insert almost always appends.
+func (e *Engine) ovInsert(n *node) {
+	at := e.ovSearch(n)
+	e.ov = append(e.ov, nil)
+	copy(e.ov[at+1:], e.ov[at:])
+	e.ov[at] = n
+	n.lvl = ovLevel
+}
+
+// ovRemove cuts a cancelled node out of the sorted overflow list; (at, seq)
+// is unique, so the binary search lands exactly on it.
+func (e *Engine) ovRemove(n *node) {
+	at := e.ovSearch(n)
+	copy(e.ov[at:], e.ov[at+1:])
+	e.ov[len(e.ov)-1] = nil
+	e.ov = e.ov[:len(e.ov)-1]
+	if e.ovOff == len(e.ov) {
 		e.ov = e.ov[:0]
 		e.ovOff = 0
 	}
-	return 0, false
 }
 
-// popNext removes and returns the earliest live pending node, or nil on an
-// empty queue, freeing any dead nodes it passes. Level-0 pops are O(1);
-// otherwise base advances to the lowest occupied slot's start time and that
-// slot cascades down, each node moving at most wheelLevels times over its
-// lifetime (amortized O(1)).
-func (e *Engine) popNext() *node {
+// popUntil removes and returns the earliest pending node if its time is
+// ≤ deadline, or nil otherwise (including on an empty queue). Level-0 pops
+// are O(1): the lowest occupied level-0 slot holds the exact minimum. When
+// level 0 is empty, the lowest occupied higher slot cascades — but only if
+// it opens at or before the deadline, so no slot is ever scanned for its
+// minimum. Each node moves at most wheelLevels times over its lifetime
+// (amortized O(1)).
+func (e *Engine) popUntil(deadline Time) *node {
 	for {
 		if e.occ[0] != 0 {
-			slot := bits.TrailingZeros64(e.occ[0])
-			l := &e.slots[0][slot]
-			for l.head != nil {
-				n := l.head
-				l.head = n.next
-				if l.head == nil {
-					l.tail = nil
-					e.occ[0] &^= 1 << uint(slot)
-				}
-				if n.dead {
-					e.dead--
-					e.release(n)
-					continue
-				}
-				n.next = nil
-				n.queued = false
-				e.live--
-				return n
+			l := &e.slots[0][bits.TrailingZeros64(e.occ[0])]
+			n := l.head
+			if n.at > deadline {
+				return nil
 			}
-			continue
+			e.unlink(n)
+			e.live--
+			return n
 		}
-		if !e.cascade() {
+		if !e.cascade(deadline) {
 			return nil
 		}
 	}
@@ -464,9 +459,10 @@ func (e *Engine) popNext() *node {
 
 // cascade advances base to the earliest occupied slot (or the earliest
 // overflow segment once the wheel is empty) and redistributes that slot's
-// nodes to lower levels, freeing dead ones. It reports whether any slot was
-// opened; false means the queue is fully drained.
-func (e *Engine) cascade() bool {
+// nodes to lower levels. It reports false, leaving the wheel untouched, when
+// the queue is empty or that slot opens after deadline (every pending node
+// is then later than deadline).
+func (e *Engine) cascade(deadline Time) bool {
 	for lvl := 1; lvl < wheelLevels; lvl++ {
 		if e.occ[lvl] == 0 {
 			continue
@@ -478,115 +474,41 @@ func (e *Engine) cascade() bool {
 		// this slot: advance base to the slot's start and re-place its list.
 		// Relative order is preserved, and every node lands at a lower level
 		// (its differing bits vs the new base are below this slot's width).
-		e.base = e.base&^(span-1) | Time(slot)<<shift
+		start := e.base&^(span-1) | Time(slot)<<shift
+		if start > deadline {
+			return false
+		}
+		e.base = start
 		l := &e.slots[lvl][slot]
 		n := l.head
 		l.head, l.tail = nil, nil
 		e.occ[lvl] &^= 1 << uint(slot)
 		for n != nil {
 			next := n.next
-			if n.dead {
-				e.dead--
-				e.release(n)
-			} else {
-				e.place(n)
-			}
+			e.place(n)
 			n = next
 		}
 		return true
 	}
 	// Wheel empty: turn it into the earliest overflow segment and promote
 	// that segment's (sorted) prefix.
+	if e.ovOff == len(e.ov) || e.ov[e.ovOff].at > deadline {
+		return false
+	}
+	first := e.ov[e.ovOff]
+	e.base = first.at >> topShift << topShift
 	for e.ovOff < len(e.ov) {
-		n := e.ov[e.ovOff]
+		m := e.ov[e.ovOff]
+		if uint64(m.at)>>topShift != uint64(first.at)>>topShift {
+			break
+		}
 		e.ov[e.ovOff] = nil
 		e.ovOff++
-		if n.dead {
-			e.dead--
-			e.release(n)
-			continue
-		}
-		e.base = n.at >> topShift << topShift
-		e.place(n)
-		for e.ovOff < len(e.ov) {
-			m := e.ov[e.ovOff]
-			if uint64(m.at)>>topShift != uint64(n.at)>>topShift {
-				break
-			}
-			e.ov[e.ovOff] = nil
-			e.ovOff++
-			if m.dead {
-				e.dead--
-				e.release(m)
-			} else {
-				e.place(m)
-			}
-		}
-		if e.ovOff == len(e.ov) {
-			e.ov = e.ov[:0]
-			e.ovOff = 0
-		}
-		return true
+		e.place(m)
 	}
-	if e.ovOff > 0 {
+	if e.ovOff == len(e.ov) {
 		e.ov = e.ov[:0]
 		e.ovOff = 0
 	}
-	return false
-}
-
-// compact sweeps every slot list and the overflow list, unlinking and
-// recycling dead nodes in place (live nodes keep their relative order).
-// Triggered by Cancel once dead nodes outnumber live ones, so its O(n) walk
-// amortizes to O(1) per cancel and the pool's footprint stays bounded by
-// ~2× the live population.
-func (e *Engine) compact() {
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		occ := e.occ[lvl]
-		for occ != 0 {
-			slot := bits.TrailingZeros64(occ)
-			occ &^= 1 << uint(slot)
-			l := &e.slots[lvl][slot]
-			var head, tail *node
-			for n := l.head; n != nil; {
-				next := n.next
-				if n.dead {
-					e.dead--
-					e.release(n)
-				} else {
-					n.next = nil
-					if tail == nil {
-						head = n
-					} else {
-						tail.next = n
-					}
-					tail = n
-				}
-				n = next
-			}
-			l.head, l.tail = head, tail
-			if head == nil {
-				e.occ[lvl] &^= 1 << uint(slot)
-			}
-		}
-	}
-	if len(e.ov) > e.ovOff {
-		kept := e.ov[:0]
-		for _, n := range e.ov[e.ovOff:] {
-			if n.dead {
-				e.dead--
-				e.release(n)
-			} else {
-				kept = append(kept, n)
-			}
-		}
-		for i := len(kept); i < len(e.ov); i++ {
-			e.ov[i] = nil
-		}
-		e.ov = kept
-		e.ovOff = 0
-	} else {
-		e.ov = e.ov[:0]
-		e.ovOff = 0
-	}
+	return true
 }

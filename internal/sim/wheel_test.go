@@ -1,7 +1,7 @@
 package sim
 
-// Tests specific to the hierarchical timer wheel: live-only Pending/NextTime
-// under lazy cancellation, FIFO exactness across cascade (rollover)
+// Tests specific to the hierarchical timer wheel: Pending/NextTime under
+// eager cancellation, FIFO exactness across cascade (rollover)
 // boundaries, overflow-level promotion, and a randomized equivalence check
 // against a trivially-correct reference scheduler.
 
@@ -14,11 +14,10 @@ import (
 // farther than this from base land in the sorted overflow list.
 const wheelSpan = Time(1) << topShift
 
-// TestPendingSkipsCancelledHead is the lazy-cancellation regression test:
-// a cancelled node stays linked in the wheel until the sweeper or the wheel
-// itself reaches it, but it must stop counting toward Pending and must be
-// invisible to NextTime immediately — even (especially) when it is the head
-// node the old eager implementation would have removed.
+// TestPendingSkipsCancelledHead is the cancellation regression test: a
+// cancelled node must stop counting toward Pending and be invisible to
+// NextTime immediately — even (especially) when it is the head of its slot
+// list, at every wheel level and in the overflow list.
 func TestPendingSkipsCancelledHead(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -63,7 +62,7 @@ func TestPendingSkipsCancelledHead(t *testing.T) {
 	}
 }
 
-// TestNextTimeAllCancelled: when every queued node is dead the engine must
+// TestNextTimeAllCancelled: when every queued event is cancelled the engine must
 // report empty, and RunUntil must advance the clock exactly as it does for a
 // genuinely empty queue.
 func TestNextTimeAllCancelled(t *testing.T) {
@@ -96,7 +95,7 @@ func TestWheelFIFOAcrossCascade(t *testing.T) {
 	target := Time(1 << 14) // level-2 territory from base 0
 	e.At(target, func() { got = append(got, 0) })
 	e.At(target, func() { got = append(got, 1) })
-	// Fire an early event so popNext cascades base forward, then schedule
+	// Fire an early event so the run loop cascades base forward, then schedule
 	// more equal-time events from inside a callback that runs after the
 	// cascade — they must append behind the re-placed pair.
 	e.At(5, func() {
